@@ -7,12 +7,6 @@ below it (gap > T, after a warm-up of C conflicts) backtrack one level
 chronologically.  Phase selection is pluggable per backtracking state.
 """
 
-from .backtrack import (
-    BacktrackDecision,
-    BacktrackKind,
-    SolverMode,
-    choose_backtrack_level,
-)
 from .dimacs import (
     DimacsError,
     ParseDiagnostics,
@@ -21,7 +15,7 @@ from .dimacs import (
     render_result,
     write_dimacs,
 )
-from .engine import Solver, luby, solve_formula
+from .engine import Solver, choose_backtrack_level, luby, solve_formula
 from .gen import deep_conflict, pigeonhole, random_ksat
 from .model import (
     Clause,
@@ -43,8 +37,6 @@ from .verify import brute_force_solve, check_model
 __version__ = "0.1.0"
 
 __all__ = [
-    "BacktrackDecision",
-    "BacktrackKind",
     "Clause",
     "DimacsError",
     "Formula",
@@ -55,7 +47,6 @@ __all__ = [
     "SolveResult",
     "Solver",
     "SolverConfig",
-    "SolverMode",
     "SolverStats",
     "Verdict",
     "brute_force_solve",

@@ -16,7 +16,7 @@ from .bench import par2_score, run_suite, write_csv
 from .dimacs import DimacsError, parse_dimacs_file, render_result
 from .engine import solve_formula
 from .model import PhaseHeuristic, RestartPolicy, SolverConfig, Verdict
-from .verify import check_model, first_falsified_clause
+from .verify import first_falsified_clause
 
 PRESETS = {
     "mldc-like": {
@@ -178,10 +178,10 @@ def _read_model_file(path: str, variable_count: int,
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     formula, _ = _parse_file(args.cnf, parser)
     model = _read_model_file(args.model, formula.variable_count, parser)
-    if check_model(formula, model):
+    idx = first_falsified_clause(formula, model)
+    if idx is None:
         print("c verify: model satisfies the formula")
         return 0
-    idx = first_falsified_clause(formula, model)
     print(f"c verify: model falsifies clause {idx}")
     return 1
 

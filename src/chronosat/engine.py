@@ -16,19 +16,17 @@ the entry before it.  Everything downstream honours that:
 * the first-UIP walk only resolves trail literals at that conflict level,
   and backtracking removes exactly the entries above the target level
   wherever they sit on the trail.
+
+Whether a conflict backtracks chronologically is decided by the hybrid T/C
+rule in choose_backtrack_level.
 """
 
 from __future__ import annotations
 
 import time
 from heapq import heapify, heappop, heappush
-from typing import Callable, List, Optional
+from typing import List, Optional, Tuple
 
-from .backtrack import (
-    BacktrackKind,
-    SolverMode,
-    choose_backtrack_level,
-)
 from .model import (
     Clause,
     Formula,
@@ -36,7 +34,6 @@ from .model import (
     SolveResult,
     SolverConfig,
     SolverStats,
-    TrailEntry,
     Verdict,
 )
 from .phase import PhaseSelector
@@ -65,6 +62,44 @@ def luby(index: int) -> int:
     return 1 << seq
 
 
+def choose_backtrack_level(
+    current_level: int,
+    analysis_level: int,
+    conflicts_before: int,
+    config: SolverConfig,
+) -> Tuple[int, bool]:
+    """Apply the hybrid T/C backtracking rule to one conflict.
+
+    Returns (target_level, is_cb).  current_level is the conflict level
+    (the level the conflict was analysed at), analysis_level the level the
+    learnt clause asserts at (the second-highest level in it),
+    conflicts_before the number of conflicts completed prior to this one.
+    Classic CDCL backtracks non-chronologically straight to the analysis
+    level; chronological backtracking instead steps to current_level - 1,
+    keeping the intermediate assignments alive.  The rule:
+
+    * for the first C conflicts, always backtrack non-chronologically;
+    * afterwards, if the jump distance current_level - analysis_level is
+      strictly greater than T, backtrack chronologically to
+      current_level - 1;
+    * otherwise backtrack non-chronologically to the analysis level.
+
+    The C rule supersedes the T rule.  The solver is "in CB-state" while
+    its most recent backtrack was chronological; phase selection
+    dispatches on that flag.
+    """
+    if not 0 <= analysis_level < current_level:
+        raise ValueError(
+            f"need 0 <= analysis_level < current_level, "
+            f"got {analysis_level} and {current_level}"
+        )
+    if conflicts_before < config.cb_min_conflicts_c:
+        return analysis_level, False
+    if current_level - analysis_level > config.cb_threshold_t:
+        return current_level - 1, True
+    return analysis_level, False
+
+
 class Solver:
     """One-shot solver for a fixed formula.  Create, call solve(), discard."""
 
@@ -74,7 +109,8 @@ class Solver:
         n = formula.variable_count
         self.n_vars = n
         self.stats = SolverStats()
-        self.mode = SolverMode()
+        # True while the most recent backtrack was chronological.
+        self.in_cb_state = False
         self.phase = PhaseSelector(n, self.config, self.stats)
 
         # value is indexed by literal: +1 true, -1 false, 0 unassigned.
@@ -103,9 +139,6 @@ class Solver:
         self._lbd_recent: List[int] = []
         self._lbd_recent_sum = 0
         self._lbd_global_sum = 0
-        # Optional test instrumentation: called as (var, phase, in_cb_state)
-        # for every decision.
-        self.decision_hook: Optional[Callable[[int, bool, bool], None]] = None
 
         self.ok = True
         for clause in formula.clauses:
@@ -488,7 +521,7 @@ class Solver:
         self._lbd_recent.clear()
         self._lbd_recent_sum = 0
         self._backtrack_to(0)
-        self.mode.note_backtrack(BacktrackKind.NON_CHRONOLOGICAL)
+        self.in_cb_state = False
 
     def _reduce_db(self) -> None:
         """Drop the worst half of the deletable learnt clauses.
@@ -552,15 +585,15 @@ class Solver:
                     stats.conflicts += 1
                     return Verdict.UNSAT
                 learnt, assert_level, lbd = self._analyze(confl, conflict_level)
-                decision = choose_backtrack_level(
+                target, is_cb = choose_backtrack_level(
                     conflict_level, assert_level, stats.conflicts, cfg
                 )
                 stats.conflicts += 1
                 self._conflicts_since_restart += 1
                 self._note_learnt_lbd(lbd)
-                self._backtrack_to(decision.target_level)
-                self.mode.note_backtrack(decision.kind)
-                if decision.kind is BacktrackKind.CHRONOLOGICAL:
+                self._backtrack_to(target)
+                self.in_cb_state = is_cb
+                if is_cb:
                     stats.cb_backtracks += 1
                 else:
                     stats.ncb_backtracks += 1
@@ -588,34 +621,17 @@ class Solver:
                 v = self._pick_branch_var()
                 if v is None:
                     return Verdict.SAT
-                phase = self.phase.select_phase(v, self.mode.in_cb_state)
+                phase = self.phase.select_phase(v, self.in_cb_state)
                 stats.decisions += 1
                 self.decision_level += 1
                 self._enqueue(2 * v + (0 if phase else 1), None, self.decision_level)
-                if self.decision_hook is not None:
-                    self.decision_hook(v, phase, self.mode.in_cb_state)
 
     def _extract_model(self) -> List[bool]:
-        model = []
+        # The search only returns SAT once no variable is unassigned.
         value = self.value
-        in_cb = self.mode.in_cb_state
-        for v in range(self.n_vars):
-            val = value[v << 1]
-            if val > 0:
-                model.append(True)
-            elif val < 0:
-                model.append(False)
-            else:
-                model.append(self.phase.current_preference(v, in_cb))
-        return model
+        return [value[v << 1] > 0 for v in range(self.n_vars)]
 
     # -- inspection (tests and tooling) ----------------------------------------
-
-    def trail_entries(self) -> List[TrailEntry]:
-        return [
-            TrailEntry(lit, self.level[lit >> 1], self.reason[lit >> 1])
-            for lit in self.trail
-        ]
 
     def debug_check_watches(self) -> None:
         """Assert watch-list consistency; call only at propagation fixpoint.

@@ -111,19 +111,6 @@ class Formula:
         return len(self.clauses)
 
 
-@dataclass(frozen=True)
-class TrailEntry:
-    """Inspection view of one assignment on the trail."""
-
-    literal: int
-    level: int
-    reason: Optional[Clause]
-
-    @property
-    def is_decision(self) -> bool:
-        return self.reason is None and self.level > 0
-
-
 class PhaseHeuristic(str, enum.Enum):
     SAVED = "saved"
     RANDOM = "random"

@@ -39,7 +39,6 @@ class PhaseSelector:
     """Owns saved phases, DPS scores, LSIDS activities, and the decision RNG."""
 
     def __init__(self, n_vars: int, config: SolverConfig, stats: SolverStats):
-        self.n_vars = n_vars
         self.config = config
         self.stats = stats
         self.saved: List[bool] = [False] * n_vars
@@ -99,23 +98,6 @@ class PhaseSelector:
             if choice != self.saved[var]:
                 self.stats.lsids_differs_from_saved += 1
             return choice
-        return self._preference(heuristic, var)
-
-    def current_preference(self, var: int, in_cb_state: bool) -> bool:
-        """Phase the active heuristic would pick, without stats effects.
-
-        Random consumes no RNG here; it reports the saved fallback so that
-        peeking never perturbs the decision stream.
-        """
-        heuristic = (
-            self.config.cb_phase_heuristic
-            if in_cb_state
-            else self.config.ncb_phase_heuristic
-        )
-        if heuristic is PhaseHeuristic.RANDOM:
-            return self.saved[var]
-        if heuristic is PhaseHeuristic.LSIDS:
-            return self._lsids_preference(var)
         return self._preference(heuristic, var)
 
     def _lsids_preference(self, var: int) -> bool:

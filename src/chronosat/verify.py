@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from .model import Formula, SolveResult, Verdict, lit_var, lit_is_positive
 
 BRUTE_FORCE_VAR_CAP = 26
@@ -25,18 +23,7 @@ def check_model(formula: Formula, model: List[bool]) -> bool:
     Raises ValueError when the model length does not match the formula's
     variable count; a partial assignment cannot be checked.
     """
-    if len(model) != formula.variable_count:
-        raise ValueError(
-            f"model has {len(model)} values, formula has "
-            f"{formula.variable_count} variables"
-        )
-    for clause in formula.clauses:
-        for lit in clause.lits:
-            if model[lit_var(lit)] == lit_is_positive(lit):
-                break
-        else:
-            return False
-    return True
+    return first_falsified_clause(formula, model) is None
 
 
 def brute_force_solve(formula: Formula) -> SolveResult:
@@ -45,6 +32,9 @@ def brute_force_solve(formula: Formula) -> SolveResult:
     Returns Sat with the lexicographically first model, or Unsat.  Enforces
     BRUTE_FORCE_VAR_CAP since the sweep is exponential.
     """
+    # Imported here so that the solver itself never loads numpy.
+    import numpy as np
+
     n = formula.variable_count
     if n > BRUTE_FORCE_VAR_CAP:
         raise ValueError(
@@ -84,10 +74,20 @@ def brute_force_solve(formula: Formula) -> SolveResult:
 
 
 def first_falsified_clause(formula: Formula, model: List[bool]) -> Optional[int]:
-    """Index of the first clause the model falsifies, or None. Debug aid."""
+    """Index of the first clause the model falsifies, or None.
+
+    Raises ValueError when the model length does not match the formula's
+    variable count.
+    """
     if len(model) != formula.variable_count:
-        raise ValueError("model length mismatch")
+        raise ValueError(
+            f"model has {len(model)} values, formula has "
+            f"{formula.variable_count} variables"
+        )
     for i, clause in enumerate(formula.clauses):
-        if not any(model[lit_var(l)] == lit_is_positive(l) for l in clause.lits):
+        for lit in clause.lits:
+            if model[lit_var(lit)] == lit_is_positive(lit):
+                break
+        else:
             return i
     return None

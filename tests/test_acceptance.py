@@ -14,7 +14,6 @@ import time
 import pytest
 
 import chronosat.engine as engine_module
-from chronosat.backtrack import BacktrackKind, choose_backtrack_level
 from chronosat.bench import (
     CSV_HEADER,
     RunRecord,
@@ -27,7 +26,7 @@ from chronosat.bench import (
 )
 from chronosat.cli import main as cli_main
 from chronosat.dimacs import parse_dimacs_file
-from chronosat.engine import Solver, solve_formula
+from chronosat.engine import Solver, choose_backtrack_level, solve_formula
 from chronosat.gen import deep_conflict, pigeonhole, random_ksat
 from chronosat.model import (
     Formula,
@@ -181,17 +180,9 @@ def test_criterion_5_chronological_backtracking_mechanics():
     corpus instance that actually takes chronological backtracks."""
     config = SolverConfig(cb_threshold_t=100, cb_min_conflicts_c=4000)
 
-    decision = choose_backtrack_level(150, 10, 5000, config)
-    assert decision.kind is BacktrackKind.CHRONOLOGICAL
-    assert decision.target_level == 149
-
-    decision = choose_backtrack_level(150, 10, 100, config)
-    assert decision.kind is BacktrackKind.NON_CHRONOLOGICAL
-    assert decision.target_level == 10
-
-    decision = choose_backtrack_level(50, 10, 5000, config)
-    assert decision.kind is BacktrackKind.NON_CHRONOLOGICAL
-    assert decision.target_level == 10
+    assert choose_backtrack_level(150, 10, 5000, config) == (149, True)
+    assert choose_backtrack_level(150, 10, 100, config) == (10, False)
+    assert choose_backtrack_level(50, 10, 5000, config) == (10, False)
 
     # Backtracking to 2 on trail levels [1, 3, 2, 3] must remove exactly the
     # level-3 entries, including the one sitting before the level-2 entry.

@@ -1,52 +1,47 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from chronosat.backtrack import (
-    BacktrackKind,
-    SolverMode,
-    choose_backtrack_level,
-    partition_trail,
-)
-from chronosat.model import SolverConfig
-
-
-CB = BacktrackKind.CHRONOLOGICAL
-NCB = BacktrackKind.NON_CHRONOLOGICAL
+import chronosat.engine as engine_module
+from chronosat.engine import Solver, choose_backtrack_level
+from chronosat.gen import random_ksat
+from chronosat.model import Formula, SolverConfig, make_literal
 
 
 def test_large_jump_past_threshold_goes_chronological():
     cfg = SolverConfig(cb_threshold_t=100, cb_min_conflicts_c=4000)
-    d = choose_backtrack_level(150, 10, conflicts_before=5000, config=cfg)
-    assert d.kind is CB
-    assert d.target_level == 149
+    target, is_cb = choose_backtrack_level(150, 10, conflicts_before=5000, config=cfg)
+    assert is_cb
+    assert target == 149
 
 
 def test_warmup_rule_supersedes_threshold():
     cfg = SolverConfig(cb_threshold_t=100, cb_min_conflicts_c=4000)
-    d = choose_backtrack_level(150, 10, conflicts_before=100, config=cfg)
-    assert d.kind is NCB
-    assert d.target_level == 10
+    target, is_cb = choose_backtrack_level(150, 10, conflicts_before=100, config=cfg)
+    assert not is_cb
+    assert target == 10
 
 
 def test_small_jump_stays_non_chronological():
     cfg = SolverConfig(cb_threshold_t=100, cb_min_conflicts_c=4000)
-    d = choose_backtrack_level(50, 40, conflicts_before=5000, config=cfg)
-    assert d.kind is NCB
-    assert d.target_level == 40
+    target, is_cb = choose_backtrack_level(50, 40, conflicts_before=5000, config=cfg)
+    assert not is_cb
+    assert target == 40
 
 
 def test_jump_equal_to_threshold_is_not_chronological():
     cfg = SolverConfig(cb_threshold_t=10, cb_min_conflicts_c=0)
-    d = choose_backtrack_level(20, 10, conflicts_before=99, config=cfg)
-    assert d.kind is NCB
+    _, is_cb = choose_backtrack_level(20, 10, conflicts_before=99, config=cfg)
+    assert not is_cb
 
 
 def test_zero_thresholds_make_every_conflict_chronological():
     cfg = SolverConfig(cb_threshold_t=0, cb_min_conflicts_c=0)
     for current, analysis in [(1, 0), (5, 4), (9, 2), (300, 0)]:
-        d = choose_backtrack_level(current, analysis, conflicts_before=0, config=cfg)
-        assert d.kind is CB
-        assert d.target_level == current - 1
+        target, is_cb = choose_backtrack_level(
+            current, analysis, conflicts_before=0, config=cfg
+        )
+        assert is_cb
+        assert target == current - 1
 
 
 def test_invalid_levels_rejected():
@@ -70,49 +65,104 @@ def test_policy_has_exactly_two_behaviors(current, analysis, conflicts, t, c):
     if analysis >= current:
         analysis = current - 1
     cfg = SolverConfig(cb_threshold_t=t, cb_min_conflicts_c=c)
-    d = choose_backtrack_level(current, analysis, conflicts, cfg)
-    if d.kind is CB:
-        assert d.target_level == current - 1
+    target, is_cb = choose_backtrack_level(current, analysis, conflicts, cfg)
+    if is_cb:
+        assert target == current - 1
         assert conflicts >= c
         assert current - analysis > t
     else:
-        assert d.target_level == analysis
+        assert target == analysis
 
 
-def test_mode_tracks_last_backtrack_kind():
-    mode = SolverMode()
-    assert not mode.in_cb_state
-    mode.note_backtrack(CB)
-    assert mode.in_cb_state
-    mode.note_backtrack(NCB)
-    assert not mode.in_cb_state
+def test_mode_tracks_last_backtrack_kind(monkeypatch):
+    """Every decision sees in_cb_state equal to the kind of the latest
+    backtrack, with a restart counting as a non-chronological one."""
+    latest = [False]
+    real_choose = engine_module.choose_backtrack_level
+
+    def recording_choose(*args):
+        target, is_cb = real_choose(*args)
+        latest[0] = is_cb
+        return target, is_cb
+
+    monkeypatch.setattr(engine_module, "choose_backtrack_level", recording_choose)
+    # A short Luby unit makes each seed restart at least once in CB state.
+    cfg = SolverConfig(cb_threshold_t=1, cb_min_conflicts_c=0, luby_base=4)
+    for seed in (4, 5, 6):
+        latest[0] = False
+        s = Solver(random_ksat(60, ratio=4.3, seed=seed), cfg)
+        real_restart = s._restart
+        real_select = s.phase.select_phase
+        flags = []
+        restarts_in_cb = []
+
+        def restart():
+            restarts_in_cb.append(latest[0])
+            real_restart()
+            latest[0] = False
+
+        def select(var, in_cb_state):
+            flags.append((in_cb_state, latest[0]))
+            return real_select(var, in_cb_state)
+
+        s._restart = restart
+        s.phase.select_phase = select
+        s.solve()
+        assert all(seen == expected for seen, expected in flags), seed
+        assert {seen for seen, _ in flags} == {False, True}, seed
+        assert any(restarts_in_cb), seed
 
 
-def test_partition_trail_monotonic():
-    kept, removed = partition_trail([1, 1, 2, 3], target_level=1)
-    assert kept == [0, 1]
-    assert removed == [2, 3]
+def _solver_with_trail(levels, polarities):
+    """Solver over one variable per entry, var k assigned at levels[k]."""
+    s = Solver(Formula(len(levels), []))
+    for var, (lvl, pol) in enumerate(zip(levels, polarities)):
+        s._enqueue(make_literal(var, pol), None, lvl)
+    s.decision_level = max(levels, default=0)
+    s.qhead = len(s.trail)
+    return s
 
 
-def test_partition_trail_non_monotonic_keeps_interleaved_lower_levels():
-    # Levels [1, 3, 2, 3]: backtracking to 2 removes both level-3 entries,
-    # including the one sitting before the level-2 entry.
-    kept, removed = partition_trail([1, 3, 2, 3], target_level=2)
-    assert kept == [0, 2]
-    assert removed == [1, 3]
+@pytest.mark.parametrize(
+    "levels, target, kept",
+    [
+        ([1, 1, 2, 3], 1, [0, 1]),
+        # Backtracking to 2 removes both level-3 entries, including the one
+        # sitting before the level-2 entry.
+        ([1, 3, 2, 3], 2, [0, 2]),
+        ([0, 0, 1, 2], 0, [0, 1]),
+    ],
+    ids=["monotonic", "non-monotonic", "to-zero"],
+)
+def test_backtrack_to_removes_levels_above_target(levels, target, kept):
+    s = _solver_with_trail(levels, [True] * len(levels))
+    s._backtrack_to(target)
+    assert s.trail == [make_literal(v, True) for v in kept]
+    assert s.decision_level == target
 
 
-def test_partition_trail_to_zero_keeps_root_facts():
-    kept, removed = partition_trail([0, 0, 1, 2], target_level=0)
-    assert kept == [0, 1]
-    assert removed == [2, 3]
+@given(
+    st.lists(st.tuples(st.integers(0, 8), st.booleans()), max_size=30),
+    st.integers(0, 8),
+)
+def test_backtrack_to_is_exact_and_order_preserving(entries, target):
+    levels = [lvl for lvl, _ in entries]
+    polarities = [pol for _, pol in entries]
+    s = _solver_with_trail(levels, polarities)
+    trail_before = list(s.trail)
+    erased = []
+    s.phase.on_assignment_erased = lambda var, pol: erased.append((var, pol))
 
+    s._backtrack_to(target)
 
-@given(st.lists(st.integers(min_value=0, max_value=8)), st.integers(0, 8))
-def test_partition_trail_is_exact_and_order_preserving(levels, target):
-    kept, removed = partition_trail(levels, target)
-    assert sorted(kept + removed) == list(range(len(levels)))
-    assert all(levels[p] <= target for p in kept)
-    assert all(levels[p] > target for p in removed)
-    assert kept == sorted(kept)
-    assert removed == sorted(removed)
+    kept = [lit for lit in trail_before if levels[lit >> 1] <= target]
+    removed = [lit for lit in trail_before if levels[lit >> 1] > target]
+    assert s.trail == kept
+    for lit in removed:
+        assert s.value[lit] == 0 and s.value[lit ^ 1] == 0
+    assert erased == [(lit >> 1, (lit & 1) == 0) for lit in reversed(removed)]
+    first_removed = next(
+        (pos for pos, lvl in enumerate(levels) if lvl > target), len(levels)
+    )
+    assert s.qhead <= first_removed
+    assert s.decision_level == target

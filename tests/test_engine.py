@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chronosat.backtrack import BacktrackKind
 from chronosat.engine import Solver, luby, solve_formula
 from chronosat.gen import deep_conflict, pigeonhole, random_ksat
 from chronosat.model import (
@@ -86,7 +85,7 @@ def test_unit_chain_propagates_at_level_zero():
     assert r.model == [True, True, True, True]
     assert r.stats.decisions == 0
     assert r.stats.conflicts == 0
-    assert all(e.level == 0 for e in s.trail_entries())
+    assert all(s.level[l >> 1] == 0 for l in s.trail)
 
 
 def test_propagation_counts_queue_pops():
@@ -197,12 +196,12 @@ def test_restart_preserves_saved_phases_and_resets_mode():
     s._enqueue(lit(-2), None, 2)
     s.decision_level = 3
     s._enqueue(lit(3), None, 3)
-    s.mode.note_backtrack(BacktrackKind.CHRONOLOGICAL)
+    s.in_cb_state = True
     s._restart()
     assert s.trail == []
     assert s.stats.restarts == 1
     assert s.stats.cb_backtracks == 0 and s.stats.ncb_backtracks == 0
-    assert not s.mode.in_cb_state
+    assert not s.in_cb_state
     assert s.phase.saved == [True, False, True]
 
 
@@ -261,7 +260,7 @@ def test_decision_variable_never_assigned_twice():
     s = Solver(f)
     r = s.solve()
     assert r.verdict in (Verdict.SAT, Verdict.UNSAT)
-    assert len(set(e.literal >> 1 for e in s.trail_entries())) == len(s.trail)
+    assert len(set(l >> 1 for l in s.trail)) == len(s.trail)
 
 
 # -- clause database reduction --------------------------------------------------
@@ -354,7 +353,14 @@ def test_phase_heuristic_dispatch_follows_backtrack_mode():
         cb_phase_heuristic="false",
     )
     s = Solver(f, cfg)
-    s.decision_hook = lambda var, phase, in_cb: trace.append((var, phase, in_cb))
+    select = s.phase.select_phase
+
+    def traced_select(var, in_cb_state):
+        phase = select(var, in_cb_state)
+        trace.append((var, phase, in_cb_state))
+        return phase
+
+    s.phase.select_phase = traced_select
     s.solve()
     cb_decisions = [t for t in trace if t[2]]
     assert cb_decisions, "expected decisions while in chronological state"
@@ -423,16 +429,18 @@ def test_watch_invariants_hold_after_solving():
 # -- trail inspection -----------------------------------------------------------
 
 
-def test_trail_entries_expose_reasons_and_decisions():
+def test_trail_exposes_reasons_and_decisions():
     f = fml(3, [[1], [-1, 2]])
     s = Solver(f)
     r = s.solve()
     assert r.verdict is Verdict.SAT
-    entries = s.trail_entries()
-    assert entries[0].literal == lit(1) and entries[0].reason is None
-    assert entries[1].literal == lit(2) and entries[1].reason is not None
-    assert entries[1].reason.lits[0] == lit(2)
-    decisions = [e for e in entries if e.is_decision and e.level > 0]
+    trail, reason = s.trail, s.reason
+    assert trail[0] == lit(1) and reason[trail[0] >> 1] is None
+    assert trail[1] == lit(2) and reason[trail[1] >> 1] is not None
+    assert reason[trail[1] >> 1].lits[0] == lit(2)
+    decisions = [
+        l for l in trail if reason[l >> 1] is None and s.level[l >> 1] > 0
+    ]
     assert len(decisions) == r.stats.decisions
 
 
@@ -441,9 +449,10 @@ def test_reason_clause_leads_with_implied_literal():
     s = Solver(f)
     r = s.solve()
     if r.verdict is Verdict.SAT:
-        for e in s.trail_entries():
-            if e.reason is not None:
-                assert e.reason.lits[0] == e.literal
+        for l in s.trail:
+            r = s.reason[l >> 1]
+            if r is not None:
+                assert r.lits[0] == l
 
 
 # -- resource limits --------------------------------------------------------------

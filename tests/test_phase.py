@@ -207,12 +207,3 @@ def test_state_maintained_regardless_of_active_heuristic():
     assert sel.lsids_activity[0] == pytest.approx(2.5)
     assert sel.lsids_activity[2] == pytest.approx(0.5)
     assert sel.lsids_inc > 1.0
-
-
-def test_current_preference_has_no_side_effects():
-    sel, stats = selector(ncb_phase_heuristic="random", cb_phase_heuristic="lsids")
-    state = sel.rng.getstate()
-    sel.current_preference(0, in_cb_state=False)
-    assert sel.rng.getstate() == state
-    sel.current_preference(0, in_cb_state=True)
-    assert stats.lsids_decisions == 0

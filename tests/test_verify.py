@@ -1,9 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chronosat
 from chronosat.gen import pigeonhole, random_ksat
 from chronosat.model import Formula, Verdict, make_clause, make_literal
 from chronosat.verify import (
@@ -129,3 +133,11 @@ def test_brute_force_sat_model_always_checks():
 
 def test_pigeonhole_is_unsat_by_enumeration():
     assert brute_force_solve(pigeonhole(3, 2)).verdict is Verdict.UNSAT
+
+
+def test_solver_import_does_not_load_numpy():
+    # numpy is a test-only dependency of the brute-force oracle.
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(chronosat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    code = "import sys, chronosat, chronosat.cli; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
