@@ -16,22 +16,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .dimacs import parse_dimacs_file
 from .engine import solve_formula
-from .model import SolverConfig, Verdict
+from .model import SolverConfig, SolverStats, Verdict
 
+COUNTER_NAMES = [name for name, _ in SolverStats().counter_items()]
 CSV_HEADER = [
-    "instance",
-    "configLabel",
-    "verdict",
-    "time_s",
-    "timed_out",
-    "conflicts",
-    "decisions",
-    "propagations",
-    "restarts",
-    "cb_backtracks",
-    "ncb_backtracks",
-    "lsids_decisions",
-    "lsids_differs_saved",
+    "instance", "configLabel", "verdict", "time_s", "timed_out", *COUNTER_NAMES
 ]
 
 _SOLVED_VERDICTS = ("SAT", "UNSAT")
@@ -66,14 +55,7 @@ class RunRecord:
             self.verdict,
             f"{self.time_s:.6f}",
             "true" if self.timed_out else "false",
-            str(self.conflicts),
-            str(self.decisions),
-            str(self.propagations),
-            str(self.restarts),
-            str(self.cb_backtracks),
-            str(self.ncb_backtracks),
-            str(self.lsids_decisions),
-            str(self.lsids_differs_saved),
+            *(str(getattr(self, name)) for name in COUNTER_NAMES),
         ]
 
 
@@ -104,14 +86,7 @@ def run_instance(path: str, label: str, config: SolverConfig) -> RunRecord:
         verdict=result.verdict.value,
         time_s=stats.wall_time_seconds,
         timed_out=result.verdict is Verdict.UNKNOWN,
-        conflicts=stats.conflicts,
-        decisions=stats.decisions,
-        propagations=stats.propagations,
-        restarts=stats.restarts,
-        cb_backtracks=stats.cb_backtracks,
-        ncb_backtracks=stats.ncb_backtracks,
-        lsids_decisions=stats.lsids_decisions,
-        lsids_differs_saved=stats.lsids_differs_from_saved,
+        **dict(stats.counter_items()),
     )
 
 
@@ -182,21 +157,20 @@ def read_csv(path: str) -> List[RunRecord]:
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header}")
         for row in reader:
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected "
+                    f"{len(CSV_HEADER)} fields, got {len(row)}"
+                )
+            instance, label, verdict, time_s, timed_out, *counters = row
             records.append(
                 RunRecord(
-                    instance=row[0],
-                    config_label=row[1],
-                    verdict=row[2],
-                    time_s=float(row[3]),
-                    timed_out=row[4] == "true",
-                    conflicts=int(row[5]),
-                    decisions=int(row[6]),
-                    propagations=int(row[7]),
-                    restarts=int(row[8]),
-                    cb_backtracks=int(row[9]),
-                    ncb_backtracks=int(row[10]),
-                    lsids_decisions=int(row[11]),
-                    lsids_differs_saved=int(row[12]),
+                    instance,
+                    label,
+                    verdict,
+                    float(time_s),
+                    timed_out == "true",
+                    **dict(zip(COUNTER_NAMES, map(int, counters))),
                 )
             )
     return records

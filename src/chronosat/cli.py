@@ -9,6 +9,7 @@ exit 2 with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
@@ -35,19 +36,6 @@ PRESETS = {
 
 _EXIT_CODES = {Verdict.SAT: 10, Verdict.UNSAT: 20, Verdict.UNKNOWN: 0}
 
-_CONFIG_FLAG_FIELDS = [
-    ("phase_ncb", "ncb_phase_heuristic"),
-    ("phase_cb", "cb_phase_heuristic"),
-    ("cb_threshold_t", "cb_threshold_t"),
-    ("cb_min_conflicts_c", "cb_min_conflicts_c"),
-    ("dps_decay", "dps_decay"),
-    ("seed", "random_seed"),
-    ("restart", "restart_policy"),
-    ("luby_base", "luby_base"),
-    ("time_limit", "time_limit_seconds"),
-]
-
-
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     phases = [h.value for h in PhaseHeuristic]
     p.add_argument(
@@ -55,18 +43,21 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         choices=sorted(PRESETS),
         help="named configuration; explicit flags override its fields",
     )
-    p.add_argument("--phase-ncb", choices=phases, help="phase heuristic outside CB state")
-    p.add_argument("--phase-cb", choices=phases, help="phase heuristic while in CB state")
+    p.add_argument("--phase-ncb", dest="ncb_phase_heuristic", choices=phases,
+                   help="phase heuristic outside CB state")
+    p.add_argument("--phase-cb", dest="cb_phase_heuristic", choices=phases,
+                   help="phase heuristic while in CB state")
     p.add_argument("--cb-threshold-t", type=int, metavar="T",
                    help="backtrack chronologically when the level gap exceeds T")
     p.add_argument("--cb-min-conflicts-c", type=int, metavar="C",
                    help="disable chronological backtracking for the first C conflicts")
     p.add_argument("--dps-decay", type=float, metavar="F", help="DPS decay factor in (0,1)")
-    p.add_argument("--seed", type=int, help="RNG seed for the random phase heuristic")
-    p.add_argument("--restart", choices=[r.value for r in RestartPolicy],
-                   help="restart policy")
+    p.add_argument("--seed", dest="random_seed", type=int, metavar="SEED",
+                   help="RNG seed for the random phase heuristic")
+    p.add_argument("--restart", dest="restart_policy",
+                   choices=[r.value for r in RestartPolicy], help="restart policy")
     p.add_argument("--luby-base", type=int, metavar="N", help="Luby restart base interval")
-    p.add_argument("--time-limit", type=float, metavar="S",
+    p.add_argument("--time-limit", dest="time_limit_seconds", type=float, metavar="S",
                    help="wall-clock limit in seconds; exceeded runs report UNKNOWN")
 
 
@@ -74,10 +65,10 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     kwargs = {}
     if args.preset:
         kwargs.update(PRESETS[args.preset])
-    for flag, field in _CONFIG_FLAG_FIELDS:
-        value = getattr(args, flag)
+    for field in dataclasses.fields(SolverConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            kwargs[field] = value
+            kwargs[field.name] = value
     try:
         return SolverConfig(**kwargs)
     except ValueError as exc:
@@ -115,7 +106,7 @@ def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         records = run_suite(
             args.corpus,
             [(label, config)],
-            time_limit=args.time_limit,
+            time_limit=args.time_limit_seconds,
             workers=args.workers,
         )
     except ValueError as exc:
@@ -124,8 +115,8 @@ def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     write_csv(records, args.out)
     solved = sum(1 for r in records if r.solved)
     print(f"c bench label={label} instances={len(records)} solved={solved}")
-    if args.time_limit is not None:
-        print(f"c bench par2={par2_score(records, args.time_limit):.2f}")
+    if args.time_limit_seconds is not None:
+        print(f"c bench par2={par2_score(records, args.time_limit_seconds):.2f}")
     print(f"c bench wrote {args.out}")
     return 0
 

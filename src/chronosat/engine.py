@@ -232,32 +232,6 @@ class Solver:
                     continue
                 c = w[0]
                 lits = c.lits
-                if len(lits) == 2:
-                    other = lits[0] if lits[0] != false_lit else lits[1]
-                    if value[other] > 0:
-                        w[1] = other
-                        wl[j] = w
-                        j += 1
-                        continue
-                    w[1] = other
-                    wl[j] = w
-                    j += 1
-                    if value[other] < 0:
-                        while i < n:
-                            wl[j] = wl[i]
-                            j += 1
-                            i += 1
-                        confl = c
-                        break
-                    if lits[0] != other:
-                        lits[0], lits[1] = lits[1], lits[0]
-                    value[other] = 1
-                    value[other ^ 1] = -1
-                    v = other >> 1
-                    level[v] = plevel
-                    reason[v] = c
-                    trail.append(other)
-                    continue
                 if lits[0] == false_lit:
                     lits[0] = lits[1]
                     lits[1] = false_lit
@@ -418,18 +392,12 @@ class Solver:
         else:
             heappush(self.heap, (-a, v))
 
-    def _var_decay(self) -> None:
-        self.var_inc *= 1.0 / self.config.var_decay
-
     def _cla_bump(self, c: Clause) -> None:
         c.activity += self.cla_inc
         if c.activity > CLA_RESCALE_LIMIT:
             for lc in self.learnts:
                 lc.activity *= CLA_RESCALE_FACTOR
             self.cla_inc *= CLA_RESCALE_FACTOR
-
-    def _cla_decay(self) -> None:
-        self.cla_inc *= 1.0 / CLA_DECAY
 
     def _rebuild_heap(self) -> None:
         acts = self.var_activity
@@ -606,8 +574,8 @@ class Solver:
                     self._attach(c)
                     self._enqueue(learnt[0], c, assert_level)
                 self.phase.on_clause_learnt(learnt)
-                self._var_decay()
-                self._cla_decay()
+                self.var_inc *= 1.0 / cfg.var_decay
+                self.cla_inc *= 1.0 / CLA_DECAY
             else:
                 if self.deadline is not None and time.monotonic() > self.deadline:
                     self.timed_out = True

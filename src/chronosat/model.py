@@ -61,9 +61,6 @@ class Clause:
         self.lbd = lbd
         self.activity = 0.0
 
-    def __len__(self) -> int:
-        return len(self.lits)
-
     def __repr__(self) -> str:
         kind = "learnt" if self.learnt else "input"
         return f"Clause({[lit_to_dimacs(l) for l in self.lits]}, {kind})"

@@ -61,16 +61,13 @@ class PhaseSelector:
         """Called once per conflict with the final learnt clause."""
         for lit in lits:
             self.lsids_bump(lit, LSIDS_LEARNT_MULT)
-        self.lsids_decay()
+        self.lsids_inc *= LSIDS_DECAY_FACTOR
 
     def lsids_bump(self, lit: int, mult: float) -> None:
         act = self.lsids_activity[lit] + self.lsids_inc * mult
         self.lsids_activity[lit] = act
         if act > LSIDS_RESCORE_LIMIT:
             self.lsids_rescore()
-
-    def lsids_decay(self) -> None:
-        self.lsids_inc *= LSIDS_DECAY_FACTOR
 
     def lsids_rescore(self) -> None:
         acts = self.lsids_activity

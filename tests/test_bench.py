@@ -1,9 +1,11 @@
 import csv
+import os
 
 import pytest
 from hypothesis import given, strategies as st
 
 from chronosat.bench import (
+    COUNTER_NAMES,
     CSV_HEADER,
     RunRecord,
     cactus_points,
@@ -15,7 +17,8 @@ from chronosat.bench import (
     scatter_points,
     write_csv,
 )
-from chronosat.dimacs import write_dimacs
+from chronosat.dimacs import parse_dimacs_file, write_dimacs
+from chronosat.engine import solve_formula
 from chronosat.gen import pigeonhole
 from chronosat.model import SolverConfig
 
@@ -82,8 +85,9 @@ def test_csv_header_is_pinned():
 
 
 def test_csv_roundtrip(tmp_path):
+    counters = dict(zip(COUNTER_NAMES, range(11, 19)))
     rows = [
-        rec(instance="x.cnf", label="cfg1", verdict="UNSAT", time_s=0.25, conflicts=7),
+        rec(instance="x.cnf", label="cfg1", verdict="UNSAT", time_s=0.25, **counters),
         rec(instance="y.cnf", label="cfg1", verdict="UNKNOWN", timed_out=True),
     ]
     path = str(tmp_path / "out.csv")
@@ -91,12 +95,30 @@ def test_csv_roundtrip(tmp_path):
     with open(path) as fh:
         raw = list(csv.reader(fh))
     assert raw[0] == CSV_HEADER
-    assert raw[1][0] == "x.cnf" and raw[1][2] == "UNSAT" and raw[1][5] == "7"
+    assert raw[1][:3] == ["x.cnf", "cfg1", "UNSAT"]
+    assert raw[1][5:] == [str(v) for v in range(11, 19)]
     assert raw[2][4] == "true"
     back = read_csv(path)
     assert [r.instance for r in back] == ["x.cnf", "y.cnf"]
-    assert back[0].conflicts == 7 and back[1].timed_out is True
+    assert {name: getattr(back[0], name) for name in COUNTER_NAMES} == counters
+    assert all(getattr(back[1], name) == 0 for name in COUNTER_NAMES)
+    assert back[0].timed_out is False and back[1].timed_out is True
     assert back[0].time_s == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("width", [7, len(CSV_HEADER) + 1])
+def test_read_csv_rejects_rows_of_the_wrong_width(tmp_path, width):
+    good = rec(instance="x.cnf").as_csv_row()
+    bad = (good * 2)[:width]
+    path = str(tmp_path / "ragged.csv")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        writer.writerow(good)
+        writer.writerow(bad)
+    with pytest.raises(ValueError) as exc:
+        read_csv(path)
+    assert f"line 3: expected {len(CSV_HEADER)} fields, got {width}" in str(exc.value)
 
 
 def test_read_csv_rejects_foreign_header(tmp_path):
@@ -116,7 +138,7 @@ def _write(tmp_path, name, text):
     return str(p)
 
 
-def test_run_instance_solves_and_fills_counters(tmp_path):
+def test_run_instance_solves_and_fills_counters(tmp_path, pack_dir):
     path = _write(tmp_path, "unsat.cnf", UNSAT_TEXT)
     r = run_instance(path, "dflt", SolverConfig())
     assert r.instance == "unsat.cnf"
@@ -124,6 +146,15 @@ def test_run_instance_solves_and_fills_counters(tmp_path):
     assert r.timed_out is False
     assert r.conflicts >= 1
     assert r.time_s >= 0.0
+    # Under T=0, C=0 this pack instance backtracks chronologically and
+    # decides with LSIDS, so every counter is copied from a nonzero source.
+    path = os.path.join(pack_dir, "unsat_000.cnf")
+    cfg = SolverConfig(cb_threshold_t=0, cb_min_conflicts_c=0, cb_phase_heuristic="lsids")
+    r = run_instance(path, "cb", cfg)
+    expected = solve_formula(parse_dimacs_file(path)[0], cfg).stats.counter_items()
+    assert dict(expected)["cb_backtracks"] > 0
+    assert dict(expected)["lsids_decisions"] > 0
+    assert [(name, getattr(r, name)) for name in COUNTER_NAMES] == expected
 
 
 def test_run_instance_turns_parse_failures_into_error_rows(tmp_path):

@@ -120,6 +120,26 @@ def test_binary_implied_literal_level_follows_falsifier():
     assert s.level[1] == 4
 
 
+def test_binary_clause_satisfied_above_falsifier_implies_after_backtrack():
+    # (x1 or x2): x2 is true at level 5 when ~x1 arrives at level 2, so the
+    # clause is satisfied and nothing is implied.  Backtracking to level 2
+    # erases x2 and leaves ~x1; propagating again must imply x2 at level 2.
+    f = fml(2, [[1, 2]])
+    s = Solver(f)
+    s.decision_level = 5
+    s._enqueue(lit(2), None, 5)
+    s._enqueue(lit(-1), None, 2)
+    assert s._propagate() is None
+    assert s.trail == [lit(2), lit(-1)]
+    s._backtrack_to(2)
+    assert s._propagate() is None
+    assert s.value[lit(2)] > 0
+    assert s.level[1] == 2
+    assert s.reason[1] is s.clauses[0]
+    assert s.clauses[0].lits[0] == lit(2)
+    s.debug_check_watches()
+
+
 def test_conflict_detected_on_fully_falsified_clause():
     f = fml(2, [[1, 2]])
     s = Solver(f)
@@ -391,6 +411,37 @@ def test_verdicts_agree_with_brute_force(cfg):
         assert got.verdict is ref.verdict
         if got.verdict is Verdict.SAT:
             assert check_model(f, got.model)
+
+
+def random_mixed_2_3_sat(rng):
+    n = rng.randint(3, 14)
+    clauses = []
+    for _ in range(round(rng.uniform(1.5, 4.5) * n)):
+        vs = rng.sample(range(n), rng.choice((2, 3)))
+        clauses.append(make_clause([make_literal(v, rng.random() < 0.5) for v in vs]))
+    return Formula(n, clauses)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SolverConfig(),
+        SolverConfig(cb_threshold_t=0, cb_min_conflicts_c=0),
+        SolverConfig(cb_threshold_t=1, cb_min_conflicts_c=2, cb_phase_heuristic="lsids"),
+    ],
+    ids=["default", "cb-always", "cb-early-lsids"],
+)
+def test_mixed_binary_ternary_verdicts_agree_with_brute_force(cfg):
+    rng = random.Random(20261017)
+    for _ in range(60):
+        f = random_mixed_2_3_sat(rng)
+        ref = brute_force_solve(f)
+        s = Solver(f, cfg)
+        got = s.solve()
+        assert got.verdict is ref.verdict
+        if got.verdict is Verdict.SAT:
+            assert check_model(f, got.model)
+            s.debug_check_watches()
 
 
 @settings(max_examples=40, deadline=None)
