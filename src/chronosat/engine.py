@@ -118,6 +118,9 @@ class Solver:
         self.level: List[int] = [0] * n
         self.reason: List[Optional[Clause]] = [None] * n
         self.trail: List[int] = []
+        # trail_lim[k] is the trail position where level k+1 opened; every
+        # entry before it has a level <= k.
+        self.trail_lim: List[int] = []
         self.qhead = 0
         self.decision_level = 0
 
@@ -177,7 +180,11 @@ class Solver:
         v = lit >> 1
         self.level[v] = level
         self.reason[v] = reason
-        self.trail.append(lit)
+        trail = self.trail
+        trail_lim = self.trail_lim
+        while len(trail_lim) < level:
+            trail_lim.append(len(trail))
+        trail.append(lit)
 
     # -- propagation ----------------------------------------------------------
 
@@ -425,13 +432,26 @@ class Solver:
     def _backtrack_to(self, target: int) -> None:
         """Remove exactly the trail entries above target, wherever they sit.
 
-        Erased entries fire the phase hook in reverse assignment order.  The
-        propagation head rewinds to the first removed position: surviving
-        entries that shift down may be rescanned, which is idempotent."""
+        The scan starts at trail_lim[target], the position where level
+        target + 1 opened: no entry before it is above target, so the prefix
+        is never re-read, however long the trail.  From there, entries at or
+        below target (left behind by chronological backtracks) shift down in
+        order and the rest are erased.  The erased literals go to the phase
+        selector in one call, in reverse assignment order.  The propagation
+        head rewinds to the first removed position: surviving entries that
+        shift down may be rescanned, which is idempotent."""
         trail = self.trail
         level = self.level
+        trail_lim = self.trail_lim
         n = len(trail)
-        i = 0
+        if target < len(trail_lim):
+            i = trail_lim[target]
+            del trail_lim[target:]
+        else:
+            i = n
+        # A no-op in the search, where trail[i] is the decision that opened
+        # level target + 1.  On hand-built trails one entry can open several
+        # levels; once it is erased, a lower entry may sit at its position.
         while i < n and level[trail[i] >> 1] <= target:
             i += 1
         if i < n:
@@ -439,7 +459,6 @@ class Solver:
             reason = self.reason
             acts = self.var_activity
             heap = self.heap
-            on_erased = self.phase.on_assignment_erased
             removed = []
             j = i
             for k in range(i, n):
@@ -450,13 +469,14 @@ class Solver:
                 else:
                     removed.append(lit)
             del trail[j:]
-            for lit in reversed(removed):
+            removed.reverse()
+            for lit in removed:
                 v = lit >> 1
                 value[lit] = 0
                 value[lit ^ 1] = 0
                 reason[v] = None
-                on_erased(v, (lit & 1) == 0)
                 heappush(heap, (-acts[v], v))
+            self.phase.on_assignments_erased(removed)
             if self.qhead > i:
                 self.qhead = i
         self.decision_level = target

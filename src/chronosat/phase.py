@@ -18,7 +18,9 @@ Six heuristics are available.  Two keep their own score state:
 Saved-phase, DPS, and LSIDS state is maintained on every erase and every
 learnt clause regardless of which heuristic is currently dispatched, so
 switching heuristics mid-search (the backtrack-mode dispatch) always sees
-warm scores.
+warm scores.  The engine hands over the erased literals of a backtrack in
+one batch, and the erase updates are applied in erase order (reverse
+assignment order), exactly as one call per literal would apply them.
 """
 
 from __future__ import annotations
@@ -49,13 +51,29 @@ class PhaseSelector:
 
     # -- state maintenance hooks -------------------------------------------
 
+    def on_assignments_erased(self, lits: Sequence[int]) -> None:
+        """Called once per backtrack with the erased literals, in erase
+        order; updates saved phase, DPS score and LSIDS activity of each."""
+        saved = self.saved
+        dps = self.dps
+        decay = self.config.dps_decay
+        acts = self.lsids_activity
+        inc = self.lsids_inc * LSIDS_ERASE_MULT
+        for lit in lits:
+            var = lit >> 1
+            positive = not lit & 1
+            saved[var] = positive
+            dps[var] = (1.0 if positive else -1.0) + decay * dps[var]
+            act = acts[lit] + inc
+            acts[lit] = act
+            if act > LSIDS_RESCORE_LIMIT:
+                # The rescore shrinks the increment for the rest of the batch.
+                self.lsids_rescore()
+                inc = self.lsids_inc * LSIDS_ERASE_MULT
+
     def on_assignment_erased(self, var: int, polarity: bool) -> None:
-        """Called once per trail entry removed by a backtrack."""
-        self.saved[var] = polarity
-        pol = 1.0 if polarity else -1.0
-        self.dps[var] = pol + self.config.dps_decay * self.dps[var]
-        lit = 2 * var + (0 if polarity else 1)
-        self.lsids_bump(lit, LSIDS_ERASE_MULT)
+        """One erased assignment; see on_assignments_erased."""
+        self.on_assignments_erased((2 * var + (0 if polarity else 1),))
 
     def on_clause_learnt(self, lits: Sequence[int]) -> None:
         """Called once per conflict with the final learnt clause."""

@@ -151,7 +151,9 @@ def test_backtrack_to_is_exact_and_order_preserving(entries, target):
     s = _solver_with_trail(levels, polarities)
     trail_before = list(s.trail)
     erased = []
-    s.phase.on_assignment_erased = lambda var, pol: erased.append((var, pol))
+    s.phase.on_assignments_erased = lambda lits: erased.extend(
+        (lit >> 1, (lit & 1) == 0) for lit in lits
+    )
 
     s._backtrack_to(target)
 
@@ -166,3 +168,34 @@ def test_backtrack_to_is_exact_and_order_preserving(entries, target):
     )
     assert s.qhead <= first_removed
     assert s.decision_level == target
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("t", [0, 1, 5])
+def test_trail_lim_marks_each_level_on_real_solves(seed, t):
+    """Before every backtrack of a real search, trail_lim holds one entry
+    per open level, each pointing at that level's decision, and nothing
+    before it sits above the previous level."""
+    cfg = SolverConfig(cb_threshold_t=t, cb_min_conflicts_c=0, luby_base=4)
+    s = Solver(random_ksat(100, ratio=4.26, seed=seed), cfg)
+    real_backtrack = s._backtrack_to
+    calls = []
+
+    def backtrack(target):
+        calls.append(target)
+        trail, lim, level = s.trail, s.trail_lim, s.level
+        assert len(lim) == s.decision_level
+        for k, pos in enumerate(lim):
+            assert s.reason[trail[pos] >> 1] is None
+            assert level[trail[pos] >> 1] == k + 1
+            assert all(level[lit >> 1] <= k for lit in trail[:pos])
+        real_backtrack(target)
+
+    s._backtrack_to = backtrack
+    s.solve()
+    assert calls
+    if t == 0:
+        assert s.stats.cb_backtracks > 0
+    else:
+        assert s.stats.ncb_backtracks > 0
+    assert s.stats.restarts > 0

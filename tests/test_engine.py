@@ -546,3 +546,32 @@ def test_formula_reuse_does_not_perturb_results():
     again = solve_formula(f, SolverConfig())
     assert first.verdict is again.verdict
     assert first.stats.counter_items() == again.stats.counter_items()
+
+
+# Exact counters of five short solves.  A hot-path change that claims "same
+# search" must leave every one of them as it is.  T=0 backtracks chronologically on every
+# conflict, T=5 never does on these formulas; the last run keeps a learnt
+# database of 50 so that _reduce_db fires twice.
+PINNED_COUNTERS = [
+    ((2, 0, 2000), (510, 728, 12046, 45, 509, 0, 378, 135)),
+    ((2, 5, 2000), (372, 575, 9095, 36, 0, 371, 0, 0)),
+    ((3, 0, 2000), (234, 400, 5787, 27, 234, 0, 182, 74)),
+    ((3, 5, 2000), (223, 418, 5692, 27, 0, 223, 0, 0)),
+    ((2, 0, 50), (535, 797, 13102, 51, 534, 0, 384, 141)),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, t, db_limit, expected",
+    [(*run, counters) for run, counters in PINNED_COUNTERS],
+    ids=[f"seed{s}-T{t}-db{d}" for (s, t, d), _ in PINNED_COUNTERS],
+)
+def test_counters_are_pinned(seed, t, db_limit, expected):
+    cfg = SolverConfig(
+        cb_threshold_t=t,
+        cb_min_conflicts_c=0,
+        luby_base=4,
+        clause_db_init_limit=db_limit,
+    )
+    r = solve_formula(random_ksat(100, ratio=4.26, seed=seed), cfg)
+    assert tuple(value for _, value in r.stats.counter_items()) == expected

@@ -8,6 +8,7 @@ from chronosat.model import PhaseHeuristic, SolverConfig, SolverStats
 from chronosat.phase import (
     LSIDS_DECAY_FACTOR,
     LSIDS_RESCORE_FACTOR,
+    LSIDS_RESCORE_LIMIT,
     PhaseSelector,
 )
 
@@ -152,6 +153,27 @@ def test_lsids_bump_auto_rescores():
     sel.lsids_bump(0, 2.0)  # 0.9e100 + 0.4e100 = 1.3e100 > limit
     assert sel.lsids_activity[0] == pytest.approx(1.3)
     assert sel.lsids_inc == pytest.approx(0.2 * LSIDS_RESCORE_FACTOR * 1e100)
+
+
+def test_batched_erase_equals_one_call_per_literal():
+    # a: var 0 True, b: var 1 False, c: var 2 True.  b's bump pushes its
+    # activity past the limit, so the rescore fires in the middle of the
+    # batch and c must be bumped with the rescored increment.
+    a, b, c = 0, 3, 4
+    pair = [selector(n_vars=3)[0] for _ in range(2)]
+    for sel in pair:
+        sel.dps[:] = [0.25, -0.5, 0.125]
+        sel.lsids_activity[:] = [1.5, 0.0, 0.0, LSIDS_RESCORE_LIMIT * 0.99, 7.0, 0.0]
+        sel.lsids_inc = LSIDS_RESCORE_LIMIT * 0.01
+    batched, single = pair
+    batched.on_assignments_erased([a, b, c])
+    for lit in (a, b, c):
+        single.on_assignment_erased(lit >> 1, (lit & 1) == 0)
+    assert single.lsids_inc < 1.0  # the rescore fired
+    assert batched.saved == single.saved == [True, False, True]
+    assert batched.dps == single.dps
+    assert batched.lsids_activity == single.lsids_activity
+    assert batched.lsids_inc == single.lsids_inc
 
 
 def test_lsids_phase_strict_comparison_ties_pick_negative():
