@@ -36,7 +36,6 @@ class ParseDiagnostics:
     """Non-fatal observations collected while parsing."""
 
     warnings: List[Tuple[int, str]] = field(default_factory=list)
-    declared_variable_count: int = 0
     declared_clause_count: int = 0
     parsed_clause_count: int = 0
 
@@ -61,7 +60,6 @@ def parse_dimacs(
     nvars = -1
     clauses = []
     pending: List[int] = []
-    pending_open = False
     lineno = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -81,7 +79,6 @@ def parse_dimacs(
                 raise DimacsError(lineno, f"non-integer header field in {line!r}")
             if nvars < 0 or declared_clauses < 0:
                 raise DimacsError(lineno, "header counts must be non-negative")
-            diags.declared_variable_count = nvars
             diags.declared_clause_count = declared_clauses
             continue
         if nvars < 0:
@@ -99,19 +96,17 @@ def parse_dimacs(
                 else:
                     clauses.append(clause)
                 pending = []
-                pending_open = False
                 continue
             if abs(n) > nvars:
                 raise DimacsError(
                     lineno, f"literal {n} exceeds declared variable count {nvars}"
                 )
             pending.append(lit_from_dimacs(n))
-            pending_open = True
 
     last_line = max(lineno, 1)
     if nvars < 0:
         raise DimacsError(last_line, "missing 'p cnf' header")
-    if pending_open:
+    if pending:
         raise DimacsError(last_line, "clause missing terminating 0 at end of input")
 
     if diags.parsed_clause_count != diags.declared_clause_count:

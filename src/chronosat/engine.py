@@ -44,7 +44,8 @@ VAR_RESCALE_FACTOR = 1e-100
 CLA_RESCALE_LIMIT = 1e20
 CLA_RESCALE_FACTOR = 1e-20
 CLA_DECAY = 0.999
-DEADLINE_CHECK_INTERVAL = 4096
+VAR_DECAY = 0.95
+CLAUSE_DB_LIMIT_GROWTH = 300
 GLUCOSE_WINDOW = 50
 GLUCOSE_MARGIN = 0.8
 
@@ -135,9 +136,6 @@ class Solver:
         self.cla_inc = 1.0
 
         self.seen = bytearray(n)
-        self.timed_out = False
-        self.deadline: Optional[float] = None
-        self._deadline_tick = 0
         self._conflicts_since_restart = 0
         self._lbd_recent: List[int] = []
         self._lbd_recent_sum = 0
@@ -204,19 +202,11 @@ class Solver:
         qhead = self.qhead
         confl: Optional[Clause] = None
         props = 0
-        tick = self._deadline_tick
-        deadline = self.deadline
 
         while qhead < len(trail):
             p = trail[qhead]
             qhead += 1
             props += 1
-            tick += 1
-            if tick >= DEADLINE_CHECK_INTERVAL:
-                tick = 0
-                if deadline is not None and time.monotonic() > deadline:
-                    self.timed_out = True
-                    break
             plevel = level[p >> 1]
             false_lit = p ^ 1
             wl = watches[false_lit]
@@ -297,7 +287,6 @@ class Solver:
 
         self.qhead = qhead
         self.stats.propagations += props
-        self._deadline_tick = tick
         return confl
 
     # -- conflict analysis ----------------------------------------------------
@@ -396,8 +385,6 @@ class Solver:
                 acts[i] *= VAR_RESCALE_FACTOR
             self.var_inc *= VAR_RESCALE_FACTOR
             self._rebuild_heap()
-        else:
-            heappush(self.heap, (-a, v))
 
     def _cla_bump(self, c: Clause) -> None:
         c.activity += self.cla_inc
@@ -414,16 +401,22 @@ class Solver:
 
     def _pick_branch_var(self) -> Optional[int]:
         """Unassigned variable of maximal activity; ties go to the lowest
-        index via the heap ordering.  Entries are lazy: stale ones (already
-        assigned, or pushed before a later bump) are skipped."""
+        index via the heap ordering.
+
+        Invariant: every unassigned variable v has the entry
+        (-var_activity[v], v) in the heap, pushed when v was erased or
+        written by a rebuild.  Only assigned variables are bumped and
+        activities only grow between rebuilds, so any older entry of an
+        unassigned v sorts at or after its current one: the first entry
+        popped for an unassigned variable is its current entry, and only
+        entries of assigned variables need skipping."""
         if len(self.heap) > 4 * self.n_vars + 64:
             self._rebuild_heap()
         heap = self.heap
-        acts = self.var_activity
         value = self.value
         while heap:
-            negact, v = heappop(heap)
-            if value[v << 1] == 0 and acts[v] == -negact:
+            v = heappop(heap)[1]
+            if value[v << 1] == 0:
                 return v
         return None
 
@@ -541,9 +534,8 @@ class Solver:
 
     def solve(self) -> SolveResult:
         start = time.monotonic()
-        if self.config.time_limit_seconds is not None:
-            self.deadline = start + self.config.time_limit_seconds
-        result = self._search()
+        limit = self.config.time_limit_seconds
+        result = self._search(None if limit is None else start + limit)
         if result is Verdict.SAT:
             model = self._extract_model()
             if not check_model(self.formula, model):
@@ -553,16 +545,19 @@ class Solver:
         self.stats.wall_time_seconds = time.monotonic() - start
         return SolveResult(result, stats=self.stats)
 
-    def _search(self) -> Verdict:
+    def _search(self, deadline: Optional[float]) -> Verdict:
+        """CDCL loop.  One step is one propagation to fixpoint followed by
+        one conflict analysis, a restart or a decision; the deadline (a
+        time.monotonic value, or None) is checked once before each step."""
         if not self.ok:
             return Verdict.UNSAT
         cfg = self.config
         stats = self.stats
         level = self.level
         while True:
-            confl = self._propagate()
-            if self.timed_out:
+            if deadline is not None and time.monotonic() > deadline:
                 return Verdict.UNKNOWN
+            confl = self._propagate()
             if confl is not None:
                 conflict_level = 0
                 for l in confl.lits:
@@ -594,18 +589,15 @@ class Solver:
                     self._attach(c)
                     self._enqueue(learnt[0], c, assert_level)
                 self.phase.on_clause_learnt(learnt)
-                self.var_inc *= 1.0 / cfg.var_decay
+                self.var_inc *= 1.0 / VAR_DECAY
                 self.cla_inc *= 1.0 / CLA_DECAY
             else:
-                if self.deadline is not None and time.monotonic() > self.deadline:
-                    self.timed_out = True
-                    return Verdict.UNKNOWN
                 if self._should_restart():
                     self._restart()
                     continue
                 if len(self.learnts) >= self.learnt_limit:
                     self._reduce_db()
-                    self.learnt_limit += cfg.clause_db_limit_growth
+                    self.learnt_limit += CLAUSE_DB_LIMIT_GROWTH
                 v = self._pick_branch_var()
                 if v is None:
                     return Verdict.SAT

@@ -139,6 +139,9 @@ class SolverConfig:
     Phase selection is dispatched on the solver's backtrack mode:
     ncb_phase_heuristic applies while the last backtrack was
     non-chronological, cb_phase_heuristic while it was chronological.
+    time_limit_seconds is checked once per search step (one propagation to
+    fixpoint and what follows it), so a solve stops at the first step that
+    begins after the limit.
     """
 
     cb_threshold_t: int = 100
@@ -147,11 +150,9 @@ class SolverConfig:
     cb_phase_heuristic: PhaseHeuristic = PhaseHeuristic.LSIDS
     dps_decay: float = 0.7
     random_seed: int = 0
-    var_decay: float = 0.95
     restart_policy: RestartPolicy = RestartPolicy.LUBY
     luby_base: int = 100
     clause_db_init_limit: int = 2000
-    clause_db_limit_growth: int = 300
     time_limit_seconds: Optional[float] = None
 
     def __post_init__(self):
@@ -161,14 +162,10 @@ class SolverConfig:
             raise ValueError("cb_min_conflicts_c must be >= 0")
         if not (0.0 < self.dps_decay < 1.0):
             raise ValueError("dps_decay must lie strictly inside (0, 1)")
-        if not (0.0 < self.var_decay < 1.0):
-            raise ValueError("var_decay must lie strictly inside (0, 1)")
         if self.luby_base < 1:
             raise ValueError("luby_base must be >= 1")
         if self.clause_db_init_limit < 1:
             raise ValueError("clause_db_init_limit must be >= 1")
-        if self.clause_db_limit_growth < 0:
-            raise ValueError("clause_db_limit_growth must be >= 0")
         if self.time_limit_seconds is not None and self.time_limit_seconds <= 0:
             raise ValueError("time_limit_seconds must be positive")
         self.ncb_phase_heuristic = PhaseHeuristic(self.ncb_phase_heuristic)

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chronosat import engine
 from chronosat.engine import Solver, luby, solve_formula
 from chronosat.gen import deep_conflict, pigeonhole, random_ksat
 from chronosat.model import (
@@ -249,7 +251,9 @@ def test_branching_ties_prefer_lowest_index():
 
 def test_bumped_variable_is_picked_first():
     s = Solver(Formula(5, []))
+    s._enqueue(lit(4), None, 1)  # the engine only bumps assigned variables
     s._var_bump(3)
+    s._backtrack_to(0)
     assert s._pick_branch_var() == 3
 
 
@@ -266,9 +270,12 @@ def test_rescale_preserves_activity_order():
 
 def test_stale_heap_entries_are_skipped():
     s = Solver(Formula(3, []))
+    s._enqueue(lit(1), None, 1)
+    s._enqueue(lit(3), None, 2)
     s._var_bump(0)
     s._var_bump(2)
     s._var_bump(2)
+    s._backtrack_to(0)
     assert s._pick_branch_var() == 2
     s._enqueue(lit(3), None, 0)  # assign var 2, as the engine does after picking
     s._enqueue(lit(1), None, 0)  # var 0 gets assigned by propagation elsewhere
@@ -281,6 +288,45 @@ def test_decision_variable_never_assigned_twice():
     r = s.solve()
     assert r.verdict in (Verdict.SAT, Verdict.UNSAT)
     assert len(set(l >> 1 for l in s.trail)) == len(s.trail)
+
+
+@pytest.mark.parametrize(
+    "seed,t,var_inc",
+    [(2, 0, 1.0), (2, 5, 1.0), (3, 0, 1.0), (3, 5, 1.0), (2, 0, 1e99)],
+    ids=["s2-T0", "s2-T5", "s3-T0", "s3-T5", "s2-T0-rescale"],
+)
+def test_heap_holds_current_entry_of_every_unassigned_variable(seed, t, var_inc):
+    # _var_bump pushes nothing, so a pick is right only if every variable
+    # is assigned when bumped and the erase push in _backtrack_to gives each
+    # unassigned variable an entry with its current activity.
+    cfg = SolverConfig(cb_threshold_t=t, cb_min_conflicts_c=0, luby_base=4)
+    s = Solver(random_ksat(100, ratio=4.26, seed=seed), cfg)
+    s.var_inc = var_inc
+    bump, pick = s._var_bump, s._pick_branch_var
+    rescales = 0
+
+    def checked_bump(v):
+        nonlocal rescales
+        assert s.value[v << 1] != 0, f"x{v + 1} bumped while unassigned"
+        before = s.var_inc
+        bump(v)
+        rescales += s.var_inc < before
+
+    def checked_pick():
+        acts = s.var_activity
+        entries = set(s.heap)
+        free = [v for v in range(s.n_vars) if s.value[v << 1] == 0]
+        for v in free:
+            assert (-acts[v], v) in entries, f"x{v + 1} has no current entry"
+        v = pick()
+        assert v == (min((-acts[u], u) for u in free)[1] if free else None)
+        return v
+
+    s._var_bump = checked_bump
+    s._pick_branch_var = checked_pick
+    stats = s.solve().stats
+    assert stats.conflicts > 0 and stats.restarts > 0
+    assert (rescales > 0) == (var_inc > 1.0)
 
 
 # -- clause database reduction --------------------------------------------------
@@ -334,7 +380,7 @@ def test_reduce_db_breaks_lbd_ties_by_activity():
 def test_tiny_db_limit_same_verdict_as_default():
     f = random_ksat(30, ratio=4.3, seed=11)
     a = solve_formula(f, SolverConfig())
-    b = solve_formula(f, SolverConfig(clause_db_init_limit=1, clause_db_limit_growth=1))
+    b = solve_formula(f, SolverConfig(clause_db_init_limit=1))
     assert a.verdict is b.verdict is Verdict.UNSAT
 
 
@@ -515,6 +561,17 @@ def test_time_limit_returns_unknown():
     assert r.verdict is Verdict.UNKNOWN
     assert r.model is None
     assert r.stats.wall_time_seconds < 5.0
+
+
+def test_expired_budget_stops_the_search_before_more_work(monkeypatch):
+    # Each clock read is a second after the last, so the 0.5 s budget has
+    # run out by the first check; the unit clause must not be propagated.
+    clock = itertools.count(1000.0, 1.0)
+    monkeypatch.setattr(engine.time, "monotonic", lambda: next(clock))
+    f = fml(3, [[1], [-1, 2], [2, 3]])
+    r = solve_formula(f, SolverConfig(time_limit_seconds=0.5))
+    assert r.verdict is Verdict.UNKNOWN
+    assert r.stats.propagations == 0
 
 
 def test_non_positive_time_limit_is_rejected():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from chronosat import engine
 from chronosat.model import (
     Clause,
     Formula,
@@ -95,7 +96,7 @@ def test_config_defaults_follow_winning_setup():
     assert cfg.ncb_phase_heuristic is PhaseHeuristic.SAVED
     assert cfg.cb_phase_heuristic is PhaseHeuristic.LSIDS
     assert cfg.dps_decay == 0.7
-    assert cfg.var_decay == 0.95
+    assert engine.VAR_DECAY == 0.95
 
 
 def test_config_accepts_zero_thresholds():
@@ -111,7 +112,6 @@ def test_config_accepts_zero_thresholds():
         {"cb_min_conflicts_c": -5},
         {"dps_decay": 0.0},
         {"dps_decay": 1.0},
-        {"var_decay": 1.0},
         {"luby_base": 0},
         {"time_limit_seconds": 0.0},
         {"clause_db_init_limit": 0},
