@@ -114,9 +114,10 @@ def run_suite(
     """Run every configuration on every instance.
 
     Rows come back sorted by (instance, configLabel) regardless of worker
-    scheduling, so suite output is stable.  Workers use threads: solving is
-    pure Python, so this trades no determinism for modest overlap of
-    parsing and bookkeeping.
+    scheduling, so suite output is stable and counters are deterministic.
+    Workers use threads, and solving is pure Python run under the GIL, so
+    more workers give no speed-up (on the bundled pack 2 workers were
+    slower than 1).
     """
     paths = discover_instances(instances)
     if not configs:

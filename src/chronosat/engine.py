@@ -133,10 +133,14 @@ class Solver:
         self.var_activity: List[float] = [0.0] * n
         self.var_inc = 1.0
         self.heap: List[tuple] = [(-0.0, v) for v in range(n)]
+        # heap_act[v] is the activity of v's newest heap entry, or -1.0 once
+        # that entry has been popped.
+        self.heap_act: List[float] = [0.0] * n
         self.cla_inc = 1.0
 
         self.seen = bytearray(n)
         self._conflicts_since_restart = 0
+        self._restart_budget = luby(0) * self.config.luby_base
         self._lbd_recent: List[int] = []
         self._lbd_recent_sum = 0
         self._lbd_global_sum = 0
@@ -396,26 +400,40 @@ class Solver:
     def _rebuild_heap(self) -> None:
         acts = self.var_activity
         value = self.value
-        self.heap = [(-acts[v], v) for v in range(self.n_vars) if value[v << 1] == 0]
-        heapify(self.heap)
+        heap_act = self.heap_act
+        heap = []
+        for v in range(self.n_vars):
+            if value[v << 1] == 0:
+                heap_act[v] = acts[v]
+                heap.append((-acts[v], v))
+            else:
+                heap_act[v] = -1.0
+        heapify(heap)
+        self.heap = heap
 
     def _pick_branch_var(self) -> Optional[int]:
         """Unassigned variable of maximal activity; ties go to the lowest
         index via the heap ordering.
 
-        Invariant: every unassigned variable v has the entry
-        (-var_activity[v], v) in the heap, pushed when v was erased or
-        written by a rebuild.  Only assigned variables are bumped and
-        activities only grow between rebuilds, so any older entry of an
-        unassigned v sorts at or after its current one: the first entry
-        popped for an unassigned variable is its current entry, and only
-        entries of assigned variables need skipping."""
+        Invariant: every unassigned variable v has its newest entry in the
+        heap, and that entry is (-var_activity[v], v), so heap_act[v] ==
+        var_activity[v].  An erase pushes v only when that does not hold
+        already; a rebuild writes one entry per unassigned variable.  Only
+        assigned variables are bumped and activities only grow between
+        rebuilds, so v's entries carry distinct activities and its newest
+        entry is the first of them popped.  Hence a popped entry is v's
+        newest unless heap_act[v] is -1.0 already, and every pop can set it
+        to -1.0; the first entry popped for an unassigned variable is its
+        current one, and only entries of assigned variables need
+        skipping."""
         if len(self.heap) > 4 * self.n_vars + 64:
             self._rebuild_heap()
         heap = self.heap
+        heap_act = self.heap_act
         value = self.value
         while heap:
             v = heappop(heap)[1]
+            heap_act[v] = -1.0
             if value[v << 1] == 0:
                 return v
         return None
@@ -429,10 +447,12 @@ class Solver:
         target + 1 opened: no entry before it is above target, so the prefix
         is never re-read, however long the trail.  From there, entries at or
         below target (left behind by chronological backtracks) shift down in
-        order and the rest are erased.  The erased literals go to the phase
-        selector in one call, in reverse assignment order.  The propagation
-        head rewinds to the first removed position: surviving entries that
-        shift down may be rescanned, which is idempotent."""
+        order and the rest are erased.  An erased variable goes onto the
+        decision heap only when its newest entry is gone or carries an older
+        activity.  The erased literals go to the phase selector in one call,
+        in reverse assignment order.  The propagation head rewinds to the
+        first removed position: surviving entries that shift down may be
+        rescanned, which is idempotent."""
         trail = self.trail
         level = self.level
         trail_lim = self.trail_lim
@@ -452,6 +472,7 @@ class Solver:
             reason = self.reason
             acts = self.var_activity
             heap = self.heap
+            heap_act = self.heap_act
             removed = []
             j = i
             for k in range(i, n):
@@ -468,7 +489,10 @@ class Solver:
                 value[lit] = 0
                 value[lit ^ 1] = 0
                 reason[v] = None
-                heappush(heap, (-acts[v], v))
+                a = acts[v]
+                if heap_act[v] != a:
+                    heap_act[v] = a
+                    heappush(heap, (-a, v))
             self.phase.on_assignments_erased(removed)
             if self.qhead > i:
                 self.qhead = i
@@ -488,8 +512,7 @@ class Solver:
         if self.decision_level == 0:
             return False
         if self.config.restart_policy is RestartPolicy.LUBY:
-            budget = luby(self.stats.restarts) * self.config.luby_base
-            return self._conflicts_since_restart >= budget
+            return self._conflicts_since_restart >= self._restart_budget
         if len(self._lbd_recent) < GLUCOSE_WINDOW or self.stats.conflicts == 0:
             return False
         recent_avg = self._lbd_recent_sum / GLUCOSE_WINDOW
@@ -499,6 +522,7 @@ class Solver:
     def _restart(self) -> None:
         self.stats.restarts += 1
         self._conflicts_since_restart = 0
+        self._restart_budget = luby(self.stats.restarts) * self.config.luby_base
         self._lbd_recent.clear()
         self._lbd_recent_sum = 0
         self._backtrack_to(0)

@@ -15,18 +15,22 @@ Six heuristics are available.  Two keep their own score state:
   increment are rescored by 1e-100.  The heuristic picks positive exactly
   when the positive literal's activity strictly exceeds the negative's.
 
-Saved-phase, DPS, and LSIDS state is maintained on every erase and every
-learnt clause regardless of which heuristic is currently dispatched, so
-switching heuristics mid-search (the backtrack-mode dispatch) always sees
-warm scores.  The engine hands over the erased literals of a backtrack in
-one batch, and the erase updates are applied in erase order (reverse
-assignment order), exactly as one call per literal would apply them.
+Saved phases are kept on every erase under every configuration, because
+the lsids_differs_saved counter compares LSIDS choices against them.  DPS
+scores exist only when the ncb or cb heuristic is DPS, and LSIDS
+activities only when one of them is LSIDS; otherwise those fields are None
+and no erase or learnt clause touches them.  A configured heuristic's
+state is updated whichever heuristic is currently dispatched, so switching
+mid-search (the backtrack-mode dispatch) always sees warm scores.  The
+engine hands over the erased literals of a backtrack in one batch, and the
+erase updates are applied in erase order (reverse assignment order),
+exactly as one call per literal would apply them.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from .model import PhaseHeuristic, SolverConfig, SolverStats
 
@@ -38,45 +42,60 @@ LSIDS_RESCORE_FACTOR = 1e-100
 
 
 class PhaseSelector:
-    """Owns saved phases, DPS scores, LSIDS activities, and the decision RNG."""
+    """Owns saved phases, the DPS scores and LSIDS activities of configured
+    heuristics, and the decision RNG."""
 
     def __init__(self, n_vars: int, config: SolverConfig, stats: SolverStats):
         self.config = config
         self.stats = stats
+        used = {config.ncb_phase_heuristic, config.cb_phase_heuristic}
         self.saved: List[bool] = [False] * n_vars
-        self.dps: List[float] = [0.0] * n_vars
-        self.lsids_activity: List[float] = [0.0] * (2 * n_vars)
-        self.lsids_inc: float = 1.0
+        self.dps: Optional[List[float]] = (
+            [0.0] * n_vars if PhaseHeuristic.DPS in used else None
+        )
+        self.lsids_activity: Optional[List[float]] = None
+        self.lsids_inc: Optional[float] = None
+        if PhaseHeuristic.LSIDS in used:
+            self.lsids_activity = [0.0] * (2 * n_vars)
+            self.lsids_inc = 1.0
         self.rng = random.Random(config.random_seed)
 
     # -- state maintenance hooks -------------------------------------------
 
     def on_assignments_erased(self, lits: Sequence[int]) -> None:
         """Called once per backtrack with the erased literals, in erase
-        order; updates saved phase, DPS score and LSIDS activity of each."""
+        order; updates the saved phase of each, and its DPS score and LSIDS
+        activity when those are kept."""
         saved = self.saved
-        dps = self.dps
-        decay = self.config.dps_decay
-        acts = self.lsids_activity
-        inc = self.lsids_inc * LSIDS_ERASE_MULT
         for lit in lits:
-            var = lit >> 1
-            positive = not lit & 1
-            saved[var] = positive
-            dps[var] = (1.0 if positive else -1.0) + decay * dps[var]
-            act = acts[lit] + inc
-            acts[lit] = act
-            if act > LSIDS_RESCORE_LIMIT:
-                # The rescore shrinks the increment for the rest of the batch.
-                self.lsids_rescore()
-                inc = self.lsids_inc * LSIDS_ERASE_MULT
+            saved[lit >> 1] = not lit & 1
+        dps = self.dps
+        if dps is not None:
+            decay = self.config.dps_decay
+            for lit in lits:
+                var = lit >> 1
+                dps[var] = (-1.0 if lit & 1 else 1.0) + decay * dps[var]
+        acts = self.lsids_activity
+        if acts is not None:
+            inc = self.lsids_inc * LSIDS_ERASE_MULT
+            for lit in lits:
+                act = acts[lit] + inc
+                acts[lit] = act
+                if act > LSIDS_RESCORE_LIMIT:
+                    # The rescore shrinks the increment for the rest of the
+                    # batch.
+                    self.lsids_rescore()
+                    inc = self.lsids_inc * LSIDS_ERASE_MULT
 
     def on_assignment_erased(self, var: int, polarity: bool) -> None:
         """One erased assignment; see on_assignments_erased."""
         self.on_assignments_erased((2 * var + (0 if polarity else 1),))
 
     def on_clause_learnt(self, lits: Sequence[int]) -> None:
-        """Called once per conflict with the final learnt clause."""
+        """Called once per conflict with the final learnt clause; bumps
+        and decays LSIDS activities when they are kept."""
+        if self.lsids_activity is None:
+            return
         for lit in lits:
             self.lsids_bump(lit, LSIDS_LEARNT_MULT)
         self.lsids_inc *= LSIDS_DECAY_FACTOR

@@ -234,6 +234,28 @@ def test_luby_restarts_fire_on_conflict_heavy_instance():
     assert r.stats.restarts >= 1
 
 
+@pytest.mark.parametrize("seed", [2, 3])
+def test_luby_restart_fires_exactly_at_the_budget(seed):
+    # The budget is computed once per restart; every call must still agree
+    # with luby(restarts) * luby_base for the restart count at that call.
+    cfg = SolverConfig(cb_threshold_t=0, cb_min_conflicts_c=0, luby_base=4)
+    s = Solver(random_ksat(100, ratio=4.26, seed=seed), cfg)
+    should_restart = s._should_restart
+    calls = 0
+
+    def checked_should_restart():
+        nonlocal calls
+        calls += 1
+        got = should_restart()
+        budget = luby(s.stats.restarts) * cfg.luby_base
+        assert got == (s.decision_level > 0 and s._conflicts_since_restart >= budget)
+        return got
+
+    s._should_restart = checked_should_restart
+    stats = s.solve().stats
+    assert stats.restarts >= 10 and calls > stats.decisions
+
+
 def test_glucose_restarts_fire_and_verdict_matches():
     f = pigeonhole(7, 6)
     r = solve_formula(f, SolverConfig(restart_policy="glucose"))
@@ -295,15 +317,41 @@ def test_decision_variable_never_assigned_twice():
     [(2, 0, 1.0), (2, 5, 1.0), (3, 0, 1.0), (3, 5, 1.0), (2, 0, 1e99)],
     ids=["s2-T0", "s2-T5", "s3-T0", "s3-T5", "s2-T0-rescale"],
 )
-def test_heap_holds_current_entry_of_every_unassigned_variable(seed, t, var_inc):
+def test_heap_holds_current_entry_of_every_unassigned_variable(
+    seed, t, var_inc, monkeypatch
+):
     # _var_bump pushes nothing, so a pick is right only if every variable
     # is assigned when bumped and the erase push in _backtrack_to gives each
-    # unassigned variable an entry with its current activity.
+    # unassigned variable an entry with its current activity.  The erase
+    # pushes only when that entry is missing, so after every backtrack no
+    # entry is duplicated, pushes never exceed erased entries, and
+    # heap_act names each variable's newest entry (or -1.0 once popped).
     cfg = SolverConfig(cb_threshold_t=t, cb_min_conflicts_c=0, luby_base=4)
     s = Solver(random_ksat(100, ratio=4.26, seed=seed), cfg)
     s.var_inc = var_inc
-    bump, pick = s._var_bump, s._pick_branch_var
+    bump, pick, backtrack = s._var_bump, s._pick_branch_var, s._backtrack_to
     rescales = 0
+    pushes = 0
+    push = engine.heappush
+
+    def counting_push(heap, entry):
+        nonlocal pushes
+        pushes += 1
+        push(heap, entry)
+
+    def checked_backtrack(target):
+        trail_before, pushes_before = len(s.trail), pushes
+        backtrack(target)
+        assert pushes - pushes_before <= trail_before - len(s.trail)
+        assert len(set(s.heap)) == len(s.heap), "duplicate heap entry"
+        newest = {}
+        for neg_act, v in s.heap:
+            newest[v] = max(newest.get(v, -1.0), -neg_act)
+        for v in range(s.n_vars):
+            if s.value[v << 1] == 0:
+                assert newest.get(v) == s.var_activity[v] == s.heap_act[v]
+            else:
+                assert s.heap_act[v] in (-1.0, newest.get(v))
 
     def checked_bump(v):
         nonlocal rescales
@@ -322,8 +370,10 @@ def test_heap_holds_current_entry_of_every_unassigned_variable(seed, t, var_inc)
         assert v == (min((-acts[u], u) for u in free)[1] if free else None)
         return v
 
+    monkeypatch.setattr(engine, "heappush", counting_push)
     s._var_bump = checked_bump
     s._pick_branch_var = checked_pick
+    s._backtrack_to = checked_backtrack
     stats = s.solve().stats
     assert stats.conflicts > 0 and stats.restarts > 0
     assert (rescales > 0) == (var_inc > 1.0)
@@ -629,6 +679,43 @@ def test_counters_are_pinned(seed, t, db_limit, expected):
         cb_min_conflicts_c=0,
         luby_base=4,
         clause_db_init_limit=db_limit,
+    )
+    r = solve_formula(random_ksat(100, ratio=4.26, seed=seed), cfg)
+    assert tuple(value for _, value in r.stats.counter_items()) == expected
+
+
+# Exact counters of the phase and restart configurations whose state the
+# solver keeps only when configured: saved/saved (mldc-like) keeps neither
+# DPS nor LSIDS state, cb=dps keeps DPS only, ncb=dps with cb=lsids keeps
+# both, cb=random neither.  All run at T=0, C=0, so every conflict
+# backtracks chronologically and the cb heuristic decides.  The glucose run
+# never restarts on this formula; it pins that path's counters all the same.
+GATED_COUNTERS = [
+    ((2, "saved", "saved", "luby"), (571, 873, 14120, 59, 570, 0, 0, 0)),
+    ((2, "saved", "dps", "luby"), (516, 769, 12230, 51, 515, 0, 0, 0)),
+    ((2, "dps", "lsids", "luby"), (642, 952, 15088, 61, 641, 0, 494, 168)),
+    ((2, "saved", "random", "luby"), (431, 635, 10764, 42, 430, 0, 0, 0)),
+    ((2, "saved", "lsids", "glucose"), (695, 731, 16120, 0, 694, 0, 716, 318)),
+    ((3, "saved", "saved", "luby"), (132, 255, 3151, 14, 132, 0, 0, 0)),
+    ((3, "saved", "dps", "luby"), (195, 328, 5052, 22, 195, 0, 0, 0)),
+    ((3, "dps", "lsids", "luby"), (144, 241, 3674, 16, 144, 0, 126, 45)),
+    ((3, "saved", "random", "luby"), (368, 561, 8591, 33, 368, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, ncb, cb, restart, expected",
+    [(*run, counters) for run, counters in GATED_COUNTERS],
+    ids=[f"seed{s}-{n}-{c}-{r}" for (s, n, c, r), _ in GATED_COUNTERS],
+)
+def test_counters_are_pinned_for_gated_configs(seed, ncb, cb, restart, expected):
+    cfg = SolverConfig(
+        cb_threshold_t=0,
+        cb_min_conflicts_c=0,
+        ncb_phase_heuristic=ncb,
+        cb_phase_heuristic=cb,
+        restart_policy=restart,
+        luby_base=4,
     )
     r = solve_formula(random_ksat(100, ratio=4.26, seed=seed), cfg)
     assert tuple(value for _, value in r.stats.counter_items()) == expected

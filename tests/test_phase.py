@@ -160,7 +160,10 @@ def test_batched_erase_equals_one_call_per_literal():
     # activity past the limit, so the rescore fires in the middle of the
     # batch and c must be bumped with the rescored increment.
     a, b, c = 0, 3, 4
-    pair = [selector(n_vars=3)[0] for _ in range(2)]
+    pair = [
+        selector(n_vars=3, ncb_phase_heuristic="dps", cb_phase_heuristic="lsids")[0]
+        for _ in range(2)
+    ]
     for sel in pair:
         sel.dps[:] = [0.25, -0.5, 0.125]
         sel.lsids_activity[:] = [1.5, 0.0, 0.0, LSIDS_RESCORE_LIMIT * 0.99, 7.0, 0.0]
@@ -220,12 +223,22 @@ def test_dispatch_uses_mode_specific_heuristic():
     assert sel.select_phase(0, in_cb_state=True) is False
 
 
-def test_state_maintained_regardless_of_active_heuristic():
-    # Saved/saved configuration still advances DPS and LSIDS scores.
+def test_state_kept_only_for_configured_heuristics():
+    # Saved phases are always kept (lsids_differs_saved reads them); DPS and
+    # LSIDS state exist only when a configured heuristic reads them.
     sel, _ = selector(ncb_phase_heuristic="saved", cb_phase_heuristic="saved")
+    assert sel.dps is None and sel.lsids_activity is None
     sel.on_assignment_erased(0, True)
     sel.on_clause_learnt([0, 2])
-    assert sel.dps[0] == pytest.approx(1.0)
+    assert sel.saved[0] is True
+    assert sel.dps is None and sel.lsids_activity is None
+
+    sel, _ = selector(ncb_phase_heuristic="saved", cb_phase_heuristic="lsids")
+    assert sel.dps is None
+    sel.on_assignment_erased(0, True)
+    sel.on_clause_learnt([0, 2])
+    assert sel.saved[0] is True
     assert sel.lsids_activity[0] == pytest.approx(2.5)
     assert sel.lsids_activity[2] == pytest.approx(0.5)
     assert sel.lsids_inc > 1.0
+    assert sel.dps is None
