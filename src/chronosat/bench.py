@@ -154,7 +154,9 @@ def read_csv(path: str) -> List[RunRecord]:
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected the CSV header")
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header}")
         for row in reader:

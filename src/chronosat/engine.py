@@ -24,6 +24,7 @@ rule in choose_backtrack_level.
 from __future__ import annotations
 
 import time
+from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import List, Optional, Tuple
 
@@ -141,8 +142,9 @@ class Solver:
         self.seen = bytearray(n)
         self._conflicts_since_restart = 0
         self._restart_budget = luby(0) * self.config.luby_base
-        self._lbd_recent: List[int] = []
-        self._lbd_recent_sum = 0
+        # Set by each conflict, cleared by each restart; read by decisions.
+        self._restart_due = False
+        self._lbd_recent: deque = deque(maxlen=GLUCOSE_WINDOW)
         self._lbd_global_sum = 0
 
         self.ok = True
@@ -451,8 +453,9 @@ class Solver:
         decision heap only when its newest entry is gone or carries an older
         activity.  The erased literals go to the phase selector in one call,
         in reverse assignment order.  The propagation head rewinds to the
-        first removed position: surviving entries that shift down may be
-        rescanned, which is idempotent."""
+        scan start, which in the search is the first removed position:
+        surviving entries that shift down may be rescanned, which is
+        idempotent."""
         trail = self.trail
         level = self.level
         trail_lim = self.trail_lim
@@ -462,11 +465,6 @@ class Solver:
             del trail_lim[target:]
         else:
             i = n
-        # A no-op in the search, where trail[i] is the decision that opened
-        # level target + 1.  On hand-built trails one entry can open several
-        # levels; once it is erased, a lower entry may sit at its position.
-        while i < n and level[trail[i] >> 1] <= target:
-            i += 1
         if i < n:
             value = self.value
             reason = self.reason
@@ -500,31 +498,29 @@ class Solver:
 
     # -- restarts and clause database -----------------------------------------
 
-    def _note_learnt_lbd(self, lbd: int) -> None:
-        recent = self._lbd_recent
-        if len(recent) >= GLUCOSE_WINDOW:
-            self._lbd_recent_sum -= recent.pop(0)
-        recent.append(lbd)
-        self._lbd_recent_sum += lbd
-        self._lbd_global_sum += lbd
-
-    def _should_restart(self) -> bool:
-        if self.decision_level == 0:
-            return False
+    def _note_conflict(self, lbd: int) -> None:
+        """Evaluate the restart rule after a counted conflict.  Its inputs
+        change only here and in _restart, so the verdict holds until the
+        next decision made above level 0.  Only GLUCOSE keeps LBD state."""
+        self._conflicts_since_restart += 1
         if self.config.restart_policy is RestartPolicy.LUBY:
-            return self._conflicts_since_restart >= self._restart_budget
-        if len(self._lbd_recent) < GLUCOSE_WINDOW or self.stats.conflicts == 0:
-            return False
-        recent_avg = self._lbd_recent_sum / GLUCOSE_WINDOW
-        global_avg = self._lbd_global_sum / self.stats.conflicts
-        return recent_avg * GLUCOSE_MARGIN > global_avg
+            self._restart_due = self._conflicts_since_restart >= self._restart_budget
+            return
+        recent = self._lbd_recent
+        recent.append(lbd)
+        self._lbd_global_sum += lbd
+        self._restart_due = (
+            len(recent) == GLUCOSE_WINDOW
+            and sum(recent) / GLUCOSE_WINDOW * GLUCOSE_MARGIN
+            > self._lbd_global_sum / self.stats.conflicts
+        )
 
     def _restart(self) -> None:
         self.stats.restarts += 1
         self._conflicts_since_restart = 0
         self._restart_budget = luby(self.stats.restarts) * self.config.luby_base
+        self._restart_due = False
         self._lbd_recent.clear()
-        self._lbd_recent_sum = 0
         self._backtrack_to(0)
         self.in_cb_state = False
 
@@ -559,15 +555,14 @@ class Solver:
     def solve(self) -> SolveResult:
         start = time.monotonic()
         limit = self.config.time_limit_seconds
-        result = self._search(None if limit is None else start + limit)
-        if result is Verdict.SAT:
+        verdict = self._search(None if limit is None else start + limit)
+        model = None
+        if verdict is Verdict.SAT:
             model = self._extract_model()
             if not check_model(self.formula, model):
                 raise RuntimeError("internal error: produced model fails a clause")
-            self.stats.wall_time_seconds = time.monotonic() - start
-            return SolveResult(Verdict.SAT, model=model, stats=self.stats)
         self.stats.wall_time_seconds = time.monotonic() - start
-        return SolveResult(result, stats=self.stats)
+        return SolveResult(verdict, model=model, stats=self.stats)
 
     def _search(self, deadline: Optional[float]) -> Verdict:
         """CDCL loop.  One step is one propagation to fixpoint followed by
@@ -596,8 +591,7 @@ class Solver:
                     conflict_level, assert_level, stats.conflicts, cfg
                 )
                 stats.conflicts += 1
-                self._conflicts_since_restart += 1
-                self._note_learnt_lbd(lbd)
+                self._note_conflict(lbd)
                 self._backtrack_to(target)
                 self.in_cb_state = is_cb
                 if is_cb:
@@ -616,7 +610,7 @@ class Solver:
                 self.var_inc *= 1.0 / VAR_DECAY
                 self.cla_inc *= 1.0 / CLA_DECAY
             else:
-                if self._should_restart():
+                if self._restart_due and self.decision_level > 0:
                     self._restart()
                     continue
                 if len(self.learnts) >= self.learnt_limit:

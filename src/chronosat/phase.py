@@ -24,7 +24,9 @@ state is updated whichever heuristic is currently dispatched, so switching
 mid-search (the backtrack-mode dispatch) always sees warm scores.  The
 engine hands over the erased literals of a backtrack in one batch, and the
 erase updates are applied in erase order (reverse assignment order),
-exactly as one call per literal would apply them.
+exactly as one call per literal would apply them.  One LSIDS bump loop
+serves both erased literals and learnt clauses; a rescore in the middle of
+a batch shrinks the increment for the literals after it.
 """
 
 from __future__ import annotations
@@ -75,17 +77,8 @@ class PhaseSelector:
             for lit in lits:
                 var = lit >> 1
                 dps[var] = (-1.0 if lit & 1 else 1.0) + decay * dps[var]
-        acts = self.lsids_activity
-        if acts is not None:
-            inc = self.lsids_inc * LSIDS_ERASE_MULT
-            for lit in lits:
-                act = acts[lit] + inc
-                acts[lit] = act
-                if act > LSIDS_RESCORE_LIMIT:
-                    # The rescore shrinks the increment for the rest of the
-                    # batch.
-                    self.lsids_rescore()
-                    inc = self.lsids_inc * LSIDS_ERASE_MULT
+        if self.lsids_activity is not None:
+            self.lsids_bump(lits, LSIDS_ERASE_MULT)
 
     def on_assignment_erased(self, var: int, polarity: bool) -> None:
         """One erased assignment; see on_assignments_erased."""
@@ -96,15 +89,20 @@ class PhaseSelector:
         and decays LSIDS activities when they are kept."""
         if self.lsids_activity is None:
             return
-        for lit in lits:
-            self.lsids_bump(lit, LSIDS_LEARNT_MULT)
+        self.lsids_bump(lits, LSIDS_LEARNT_MULT)
         self.lsids_inc *= LSIDS_DECAY_FACTOR
 
-    def lsids_bump(self, lit: int, mult: float) -> None:
-        act = self.lsids_activity[lit] + self.lsids_inc * mult
-        self.lsids_activity[lit] = act
-        if act > LSIDS_RESCORE_LIMIT:
-            self.lsids_rescore()
+    def lsids_bump(self, lits: Sequence[int], mult: float) -> None:
+        """Add mult times the increment to each literal's activity, in
+        order.  A rescore shrinks the increment for the rest of the batch."""
+        acts = self.lsids_activity
+        inc = self.lsids_inc * mult
+        for lit in lits:
+            act = acts[lit] + inc
+            acts[lit] = act
+            if act > LSIDS_RESCORE_LIMIT:
+                self.lsids_rescore()
+                inc = self.lsids_inc * mult
 
     def lsids_rescore(self) -> None:
         acts = self.lsids_activity
@@ -126,20 +124,14 @@ class PhaseSelector:
             if in_cb_state
             else self.config.ncb_phase_heuristic
         )
+        if heuristic is PhaseHeuristic.SAVED:
+            return self.saved[var]
         if heuristic is PhaseHeuristic.LSIDS:
-            choice = self._lsids_preference(var)
+            choice = self.lsids_activity[2 * var] > self.lsids_activity[2 * var + 1]
             self.stats.lsids_decisions += 1
             if choice != self.saved[var]:
                 self.stats.lsids_differs_from_saved += 1
             return choice
-        return self._preference(heuristic, var)
-
-    def _lsids_preference(self, var: int) -> bool:
-        return self.lsids_activity[2 * var] > self.lsids_activity[2 * var + 1]
-
-    def _preference(self, heuristic: PhaseHeuristic, var: int) -> bool:
-        if heuristic is PhaseHeuristic.SAVED:
-            return self.saved[var]
         if heuristic is PhaseHeuristic.RANDOM:
             return self.rng.random() < 0.5
         if heuristic is PhaseHeuristic.ALWAYS_FALSE:

@@ -121,6 +121,14 @@ def test_read_csv_rejects_rows_of_the_wrong_width(tmp_path, width):
     assert f"line 3: expected {len(CSV_HEADER)} fields, got {width}" in str(exc.value)
 
 
+def test_read_csv_rejects_an_empty_file_naming_it(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError) as exc:
+        read_csv(str(path))
+    assert str(path) in str(exc.value) and "empty" in str(exc.value)
+
+
 def test_read_csv_rejects_foreign_header(tmp_path):
     path = str(tmp_path / "bad.csv")
     with open(path, "w") as fh:

@@ -234,26 +234,90 @@ def test_luby_restarts_fire_on_conflict_heavy_instance():
     assert r.stats.restarts >= 1
 
 
+def check_restart_timing(s, rule_holds, on_conflict, on_restart):
+    """Wrap s so that every restart finds the restart rule holding and every
+    pick finds it not holding above level 0, i.e. no restart came early and
+    none was missed.  on_conflict sees each lbd _analyze returns and
+    on_restart runs after each restart; both update the rule's inputs.
+    Returns the number of picks checked."""
+    analyze, restart, pick = s._analyze, s._restart, s._pick_branch_var
+    picks = 0
+
+    def checked_analyze(confl, conflict_level):
+        out = analyze(confl, conflict_level)
+        on_conflict(out[2])
+        return out
+
+    def checked_restart():
+        assert s.decision_level > 0 and rule_holds()
+        restart()
+        on_restart()
+
+    def checked_pick():
+        nonlocal picks
+        picks += 1
+        assert not (s.decision_level > 0 and rule_holds())
+        return pick()
+
+    s._analyze, s._restart, s._pick_branch_var = (
+        checked_analyze,
+        checked_restart,
+        checked_pick,
+    )
+    return lambda: picks
+
+
 @pytest.mark.parametrize("seed", [2, 3])
 def test_luby_restart_fires_exactly_at_the_budget(seed):
-    # The budget is computed once per restart; every call must still agree
-    # with luby(restarts) * luby_base for the restart count at that call.
+    # The budget is computed once per restart; restarts must still happen
+    # exactly when luby(restarts) * luby_base conflicts have passed since
+    # the last one.
     cfg = SolverConfig(cb_threshold_t=0, cb_min_conflicts_c=0, luby_base=4)
     s = Solver(random_ksat(100, ratio=4.26, seed=seed), cfg)
-    should_restart = s._should_restart
-    calls = 0
+    since = 0
 
-    def checked_should_restart():
-        nonlocal calls
-        calls += 1
-        got = should_restart()
-        budget = luby(s.stats.restarts) * cfg.luby_base
-        assert got == (s.decision_level > 0 and s._conflicts_since_restart >= budget)
-        return got
+    def on_conflict(lbd):
+        nonlocal since
+        since += 1
 
-    s._should_restart = checked_should_restart
+    def on_restart():
+        nonlocal since
+        since = 0
+
+    picks = check_restart_timing(
+        s,
+        lambda: since >= luby(s.stats.restarts) * cfg.luby_base,
+        on_conflict,
+        on_restart,
+    )
     stats = s.solve().stats
-    assert stats.restarts >= 10 and calls > stats.decisions
+    assert stats.restarts >= 10 and picks() >= stats.decisions
+
+
+def test_glucose_restart_fires_exactly_when_recent_lbd_exceeds_global():
+    # Reference rule from the lbds _analyze returns: a full window of the
+    # last GLUCOSE_WINDOW lbds since the restart, whose mean times the
+    # margin exceeds the mean over all counted conflicts.
+    s = Solver(pigeonhole(7, 6), SolverConfig(restart_policy="glucose"))
+    window, every = [], []
+
+    def rule_holds():
+        recent = window[-engine.GLUCOSE_WINDOW :]
+        return (
+            len(recent) == engine.GLUCOSE_WINDOW
+            and sum(recent) / engine.GLUCOSE_WINDOW * engine.GLUCOSE_MARGIN
+            > sum(every) / len(every)
+        )
+
+    picks = check_restart_timing(
+        s,
+        rule_holds,
+        lambda lbd: (window.append(lbd), every.append(lbd)),
+        window.clear,
+    )
+    stats = s.solve().stats
+    assert stats.restarts >= 3 and picks() >= stats.decisions
+    assert len(every) == stats.conflicts - 1  # the final conflict is at level 0
 
 
 def test_glucose_restarts_fire_and_verdict_matches():
@@ -718,4 +782,30 @@ def test_counters_are_pinned_for_gated_configs(seed, ncb, cb, restart, expected)
         luby_base=4,
     )
     r = solve_formula(random_ksat(100, ratio=4.26, seed=seed), cfg)
+    assert tuple(value for _, value in r.stats.counter_items()) == expected
+
+
+# Exact counters of two glucose solves that do restart (the glucose row of
+# GATED_COUNTERS never does), so the timing of the LBD restart rule is
+# pinned too.  Values were computed before the rule moved to the conflict
+# step.
+GLUCOSE_COUNTERS = [
+    ("php7-6", lambda: pigeonhole(7, 6), {}, (763, 913, 9324, 4, 0, 762, 0, 0)),
+    (
+        "ksat150-T0-C0",
+        lambda: random_ksat(150, ratio=4.26, seed=1),
+        {"cb_threshold_t": 0, "cb_min_conflicts_c": 0},
+        (936, 1013, 28462, 1, 936, 0, 985, 417),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make_formula, cfg_kwargs, expected",
+    [row[1:] for row in GLUCOSE_COUNTERS],
+    ids=[row[0] for row in GLUCOSE_COUNTERS],
+)
+def test_glucose_restart_counters_are_pinned(make_formula, cfg_kwargs, expected):
+    cfg = SolverConfig(restart_policy="glucose", **cfg_kwargs)
+    r = solve_formula(make_formula(), cfg)
     assert tuple(value for _, value in r.stats.counter_items()) == expected

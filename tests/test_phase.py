@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from chronosat.model import PhaseHeuristic, SolverConfig, SolverStats
 from chronosat.phase import (
     LSIDS_DECAY_FACTOR,
+    LSIDS_LEARNT_MULT,
     LSIDS_RESCORE_FACTOR,
     LSIDS_RESCORE_LIMIT,
     PhaseSelector,
@@ -150,9 +151,33 @@ def test_lsids_bump_auto_rescores():
     sel, _ = selector()
     sel.lsids_activity[0] = 0.9e100
     sel.lsids_inc = 0.2e100
-    sel.lsids_bump(0, 2.0)  # 0.9e100 + 0.4e100 = 1.3e100 > limit
+    sel.lsids_bump([0], 2.0)  # 0.9e100 + 0.4e100 = 1.3e100 > limit
     assert sel.lsids_activity[0] == pytest.approx(1.3)
     assert sel.lsids_inc == pytest.approx(0.2 * LSIDS_RESCORE_FACTOR * 1e100)
+
+
+def test_learnt_bump_equals_one_bump_per_literal():
+    # The second literal's bump passes the limit, so the rescore fires in
+    # the middle of the learnt clause and the third literal must be bumped
+    # with the rescored increment.
+    sel, _ = selector(n_vars=3, cb_phase_heuristic="lsids")
+    start = [1.5, 0.0, 0.0, LSIDS_RESCORE_LIMIT * 0.99, 7.0, 0.0]
+    sel.lsids_activity[:] = start
+    sel.lsids_inc = LSIDS_RESCORE_LIMIT * 0.04
+    clause = [0, 3, 4]
+
+    acts, inc = list(start), sel.lsids_inc
+    for lit in clause:
+        acts[lit] += inc * LSIDS_LEARNT_MULT
+        if acts[lit] > LSIDS_RESCORE_LIMIT:
+            acts = [a * LSIDS_RESCORE_FACTOR for a in acts]
+            inc *= LSIDS_RESCORE_FACTOR
+    inc *= LSIDS_DECAY_FACTOR
+
+    sel.on_clause_learnt(clause)
+    assert inc < 1.0  # the rescore fired
+    assert sel.lsids_activity == acts
+    assert sel.lsids_inc == inc
 
 
 def test_batched_erase_equals_one_call_per_literal():
@@ -210,9 +235,9 @@ def test_rescore_never_changes_phase_choices():
     sel, _ = selector(n_vars=n, cb_phase_heuristic="lsids")
     for i in range(2 * n):
         sel.lsids_activity[i] = rng.uniform(0, 1e100)
-    before = [sel._lsids_preference(v) for v in range(n)]
+    before = [sel.select_phase(v, True) for v in range(n)]
     sel.lsids_rescore()
-    after = [sel._lsids_preference(v) for v in range(n)]
+    after = [sel.select_phase(v, True) for v in range(n)]
     assert before == after
 
 
