@@ -15,10 +15,9 @@ from .dimacs import (
     render_result,
     write_dimacs,
 )
-from .engine import Solver, choose_backtrack_level, luby, solve_formula
+from .engine import Clause, Solver, choose_backtrack_level, luby, solve_formula
 from .gen import deep_conflict, pigeonhole, random_ksat
 from .model import (
-    Clause,
     Formula,
     PhaseHeuristic,
     RestartPolicy,

@@ -63,8 +63,8 @@ def par2_score(records: Sequence[RunRecord], time_limit: float) -> float:
     """Mean penalised runtime: unsolved instances cost 2 * time_limit."""
     if not records:
         raise ValueError("PAR-2 over an empty record set is undefined")
-    if time_limit <= 0:
-        raise ValueError("time_limit must be positive")
+    if not 0 < time_limit < float("inf"):
+        raise ValueError("time_limit must be finite and positive")
     total = 0.0
     for r in records:
         total += r.time_s if r.solved else 2.0 * time_limit
@@ -217,8 +217,8 @@ def scatter_points(
     runs are clamped to 2 * time_limit and flagged, so they sit on the
     plot's penalty edge instead of vanishing.
     """
-    if time_limit <= 0:
-        raise ValueError("time_limit must be positive")
+    if not 0 < time_limit < float("inf"):
+        raise ValueError("time_limit must be finite and positive")
     a_rows = {r.instance: r for r in records if r.config_label == label_a}
     b_rows = {r.instance: r for r in records if r.config_label == label_b}
     if set(a_rows) != set(b_rows):

@@ -135,7 +135,7 @@ def write_dimacs(formula: Formula, comments: Optional[List[str]] = None) -> str:
         lines.append(f"c {comment}")
     lines.append(f"p cnf {formula.variable_count} {formula.clause_count}")
     for c in formula.clauses:
-        lines.append(" ".join(str(lit_to_dimacs(l)) for l in c.lits) + " 0")
+        lines.append(" ".join(str(lit_to_dimacs(l)) for l in c) + " 0")
     return "\n".join(lines) + "\n"
 
 

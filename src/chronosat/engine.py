@@ -19,6 +19,9 @@ the entry before it.  Everything downstream honours that:
 
 Whether a conflict backtracks chronologically is decided by the hybrid T/C
 rule in choose_backtrack_level.
+
+Formula clauses are literal tuples; the engine copies each into its own
+Clause record, whose literal list the propagator reorders in place.
 """
 
 from __future__ import annotations
@@ -29,13 +32,13 @@ from heapq import heapify, heappop, heappush
 from typing import List, Optional, Tuple
 
 from .model import (
-    Clause,
     Formula,
     RestartPolicy,
     SolveResult,
     SolverConfig,
     SolverStats,
     Verdict,
+    lit_to_dimacs,
 )
 from .phase import PhaseSelector
 from .verify import check_model
@@ -102,6 +105,24 @@ def choose_backtrack_level(
     return analysis_level, False
 
 
+class Clause:
+    """An input clause's literal list, or a learnt clause with its LBD and
+    activity.  Positions 0 and 1 of ``lits`` are watched, and a reason
+    clause holds its implied literal at position 0."""
+
+    __slots__ = ("lits", "learnt", "lbd", "activity")
+
+    def __init__(self, lits: List[int], learnt: bool = False, lbd: int = 0):
+        self.lits = lits
+        self.learnt = learnt
+        self.lbd = lbd
+        self.activity = 0.0
+
+    def __repr__(self) -> str:
+        kind = "learnt" if self.learnt else "input"
+        return f"Clause({[lit_to_dimacs(l) for l in self.lits]}, {kind})"
+
+
 class Solver:
     """One-shot solver for a fixed formula.  Create, call solve(), discard."""
 
@@ -149,7 +170,7 @@ class Solver:
 
         self.ok = True
         for clause in formula.clauses:
-            if not self._add_input_clause(list(clause.lits)):
+            if not self._add_input_clause(list(clause)):
                 self.ok = False
                 break
 

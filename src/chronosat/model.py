@@ -2,14 +2,16 @@
 
 Literals are plain ints.  Variable ``v`` (0-based) has positive literal
 ``2*v`` and negative literal ``2*v + 1``, so negation flips the low bit and
-the encoding is a bijection onto the non-negative ints.
+the encoding is a bijection onto the non-negative ints: ``l >> 1`` is the
+variable, ``l & 1`` the sign bit and ``l ^ 1`` the negation.  A formula
+clause is a plain tuple of literals.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 
 def make_literal(var: int, positive: bool) -> int:
@@ -17,18 +19,6 @@ def make_literal(var: int, positive: bool) -> int:
     if var < 0:
         raise ValueError("variable index must be non-negative")
     return 2 * var + (0 if positive else 1)
-
-
-def negate(lit: int) -> int:
-    return lit ^ 1
-
-
-def lit_var(lit: int) -> int:
-    return lit >> 1
-
-
-def lit_is_positive(lit: int) -> bool:
-    return (lit & 1) == 0
 
 
 def lit_from_dimacs(n: int) -> int:
@@ -45,28 +35,7 @@ def lit_to_dimacs(lit: int) -> int:
     return v if (lit & 1) == 0 else -v
 
 
-class Clause:
-    """A disjunction of literals.
-
-    ``lits`` order is significant to the engine: positions 0 and 1 are the
-    watched positions, and for reason clauses position 0 holds the implied
-    literal.
-    """
-
-    __slots__ = ("lits", "learnt", "lbd", "activity")
-
-    def __init__(self, lits: List[int], learnt: bool = False, lbd: int = 0):
-        self.lits = lits
-        self.learnt = learnt
-        self.lbd = lbd
-        self.activity = 0.0
-
-    def __repr__(self) -> str:
-        kind = "learnt" if self.learnt else "input"
-        return f"Clause({[lit_to_dimacs(l) for l in self.lits]}, {kind})"
-
-
-def make_clause(lits, learnt: bool = False) -> Optional[Clause]:
+def make_clause(lits) -> Optional[Tuple[int, ...]]:
     """Build a clause, dropping duplicate literals.
 
     Returns None when the literals contain a complementary pair (the clause
@@ -82,7 +51,7 @@ def make_clause(lits, learnt: bool = False) -> Optional[Clause]:
             return None
         seen.add(l)
         out.append(l)
-    return Clause(out, learnt=learnt)
+    return tuple(out)
 
 
 @dataclass
@@ -90,14 +59,14 @@ class Formula:
     """A CNF formula over variables 0..variable_count-1."""
 
     variable_count: int
-    clauses: List[Clause] = field(default_factory=list)
+    clauses: List[Tuple[int, ...]] = field(default_factory=list)
 
     def __post_init__(self):
         if self.variable_count < 0:
             raise ValueError("variable_count must be non-negative")
         for c in self.clauses:
-            for l in c.lits:
-                if not (0 <= lit_var(l) < self.variable_count):
+            for l in c:
+                if not (0 <= l >> 1 < self.variable_count):
                     raise ValueError(
                         f"literal {lit_to_dimacs(l)} out of range for "
                         f"{self.variable_count} variables"
@@ -166,8 +135,9 @@ class SolverConfig:
             raise ValueError("luby_base must be >= 1")
         if self.clause_db_init_limit < 1:
             raise ValueError("clause_db_init_limit must be >= 1")
-        if self.time_limit_seconds is not None and self.time_limit_seconds <= 0:
-            raise ValueError("time_limit_seconds must be positive")
+        limit = self.time_limit_seconds
+        if limit is not None and not 0 < limit < float("inf"):  # NaN fails too
+            raise ValueError("time_limit_seconds must be finite and positive")
         self.ncb_phase_heuristic = PhaseHeuristic(self.ncb_phase_heuristic)
         self.cb_phase_heuristic = PhaseHeuristic(self.cb_phase_heuristic)
         self.restart_policy = RestartPolicy(self.restart_policy)

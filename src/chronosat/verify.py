@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .model import Formula, SolveResult, Verdict, lit_var, lit_is_positive
+from .model import Formula, SolveResult, Verdict
 
 BRUTE_FORCE_VAR_CAP = 26
 _CHUNK_BITS = 20
@@ -48,10 +48,10 @@ def brute_force_solve(formula: Formula) -> SolveResult:
     for clause in formula.clauses:
         mask = 0
         pattern = 0
-        for lit in clause.lits:
-            bit = 1 << (n - 1 - lit_var(lit))
+        for lit in clause:
+            bit = 1 << (n - 1 - (lit >> 1))
             mask |= bit
-            if not lit_is_positive(lit):
+            if lit & 1:
                 pattern |= bit
         tests.append((mask, pattern))
 
@@ -85,8 +85,8 @@ def first_falsified_clause(formula: Formula, model: List[bool]) -> Optional[int]
             f"{formula.variable_count} variables"
         )
     for i, clause in enumerate(formula.clauses):
-        for lit in clause.lits:
-            if model[lit_var(lit)] == lit_is_positive(lit):
+        for lit in clause:
+            if model[lit >> 1] != lit & 1:
                 break
         else:
             return i

@@ -284,3 +284,16 @@ def test_scatter_points_requires_matching_instance_sets():
         scatter_points([], "x", "y", time_limit=1.0)
     with pytest.raises(ValueError):
         scatter_points(rows[:2], "x", "y", time_limit=0.0)
+
+
+@pytest.mark.parametrize("limit", [float("nan"), float("inf")])
+def test_non_finite_limits_are_rejected(tmp_path, limit):
+    rows = [rec(instance="a", label="x"), rec(instance="a", label="y")]
+    with pytest.raises(ValueError, match="finite and positive"):
+        par2_score(rows, time_limit=limit)
+    with pytest.raises(ValueError, match="finite and positive"):
+        scatter_points(rows, "x", "y", time_limit=limit)
+    path = tmp_path / "s.cnf"
+    path.write_text(SAT_TEXT)
+    with pytest.raises(ValueError, match="finite and positive"):
+        run_suite([str(path)], [("d", SolverConfig())], time_limit=limit)

@@ -74,6 +74,22 @@ def test_bad_flag_value_exits_two(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("limit", ["nan", "inf"])
+def test_non_finite_time_limit_exits_two(tmp_path, capsys, command, limit):
+    path = write(tmp_path, "s.cnf", SAT_TEXT)
+    args = [command, "--time-limit", limit]
+    if command == "solve":
+        args.append(path)
+    else:
+        args += [str(tmp_path), "--out", str(tmp_path / "r.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_parser_warnings_go_to_stderr(tmp_path, capsys):
     text = "p cnf 2 5\n1 2 0\n-1 0\n"  # declared 5 clauses, provided 2
     rc = main(["solve", write(tmp_path, "w.cnf", text)])

@@ -16,12 +16,13 @@ from chronosat.model import SolveResult, Verdict, lit_to_dimacs
 
 
 def clause_ints(formula):
-    return [[lit_to_dimacs(l) for l in c.lits] for c in formula.clauses]
+    return [[lit_to_dimacs(l) for l in c] for c in formula.clauses]
 
 
 def test_parse_basic():
     f, d = parse_dimacs("p cnf 2 2\n1 -2 0\n2 1 0\n")
     assert f.variable_count == 2
+    assert f.clauses == [(0, 3), (2, 0)]
     assert clause_ints(f) == [[1, -2], [2, 1]]
     assert d.warnings == []
     assert d.declared_clause_count == 2
@@ -108,7 +109,7 @@ def test_parse_duplicate_literals_merged():
 def test_parse_empty_clause_is_kept():
     f, _ = parse_dimacs("p cnf 2 1\n0\n")
     assert f.clause_count == 1
-    assert f.clauses[0].lits == []
+    assert f.clauses[0] == ()
 
 
 def test_parse_zero_vars_zero_clauses():

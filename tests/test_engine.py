@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chronosat import engine
-from chronosat.engine import Solver, luby, solve_formula
+from chronosat.engine import Clause, Solver, luby, solve_formula
 from chronosat.gen import deep_conflict, pigeonhole, random_ksat
 from chronosat.model import (
-    Clause,
     Formula,
     SolverConfig,
     Verdict,

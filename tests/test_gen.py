@@ -3,7 +3,7 @@ import random
 import pytest
 
 from chronosat.gen import deep_conflict, pigeonhole, random_ksat
-from chronosat.model import Verdict, lit_var
+from chronosat.model import Verdict
 from chronosat.verify import brute_force_solve
 
 
@@ -21,16 +21,15 @@ def test_random_ksat_explicit_clause_count():
 def test_random_ksat_clauses_use_three_distinct_variables():
     f = random_ksat(12, seed=42)
     for c in f.clauses:
-        assert len(c.lits) == 3
-        assert len({lit_var(l) for l in c.lits}) == 3
+        assert type(c) is tuple
+        assert len({l >> 1 for l in c}) == 3
 
 
 def test_random_ksat_deterministic_per_seed():
     a = random_ksat(9, seed=5)
     b = random_ksat(9, seed=5)
-    assert [c.lits for c in a.clauses] == [c.lits for c in b.clauses]
-    c = random_ksat(9, seed=6)
-    assert [x.lits for x in a.clauses] != [x.lits for x in c.clauses]
+    assert a.clauses == b.clauses
+    assert a.clauses != random_ksat(9, seed=6).clauses
 
 
 def test_random_ksat_rejects_too_few_variables():
@@ -42,7 +41,7 @@ def test_random_ksat_accepts_shared_rng():
     rng = random.Random(3)
     f1 = random_ksat(6, n_clauses=4, rng=rng)
     f2 = random_ksat(6, n_clauses=4, rng=rng)
-    assert [c.lits for c in f1.clauses] != [c.lits for c in f2.clauses]
+    assert f1.clauses != f2.clauses
 
 
 def test_pigeonhole_shape():
@@ -50,6 +49,7 @@ def test_pigeonhole_shape():
     f = pigeonhole(p, h)
     assert f.variable_count == p * h
     assert f.clause_count == p + h * (p * (p - 1) // 2)
+    assert all(type(c) is tuple for c in f.clauses)
 
 
 def test_pigeonhole_square_is_sat():
@@ -70,6 +70,7 @@ def test_deep_conflict_shape_and_verdict():
     f = deep_conflict(padding=150)
     assert f.variable_count == 152
     assert f.clause_count == 4
+    assert all(type(c) is tuple for c in f.clauses)
     # Same constraint core at a brute-forceable size.
     small = deep_conflict(padding=3)
     assert brute_force_solve(small).verdict is Verdict.UNSAT
