@@ -36,13 +36,16 @@ def main(argv=None):
                     help="per-solve labelling limit; candidates that exceed it are skipped")
     args = ap.parse_args(argv)
 
-    label_cfg = SolverConfig(time_limit_seconds=args.time_limit)
-    cross_cfg = SolverConfig(
-        cb_threshold_t=0,
-        cb_min_conflicts_c=0,
-        cb_phase_heuristic="lsids",
-        time_limit_seconds=args.time_limit,
-    )
+    try:
+        label_cfg = SolverConfig(time_limit_seconds=args.time_limit)
+        cross_cfg = SolverConfig(
+            cb_threshold_t=0,
+            cb_min_conflicts_c=0,
+            cb_phase_heuristic="lsids",
+            time_limit_seconds=args.time_limit,
+        )
+    except ValueError as exc:
+        ap.error(str(exc))
 
     os.makedirs(args.out_dir, exist_ok=True)
     kept = {Verdict.SAT: 0, Verdict.UNSAT: 0}
@@ -51,7 +54,10 @@ def main(argv=None):
     while min(kept.values()) < args.count_per_class or max(kept.values()) < args.count_per_class:
         seed = args.master_seed + candidate
         candidate += 1
-        formula = random_ksat(args.vars, n_clauses=args.clauses, seed=seed)
+        try:
+            formula = random_ksat(args.vars, n_clauses=args.clauses, seed=seed)
+        except ValueError as exc:
+            ap.error(str(exc))
         first = solve_formula(formula, label_cfg)
         if first.verdict is Verdict.UNKNOWN:
             print(f"seed {seed}: labelling timed out, skipped", file=sys.stderr)

@@ -47,9 +47,12 @@ def main(argv=None):
         (LABEL_A, SolverConfig(**PRESETS[LABEL_A])),
         (LABEL_B, SolverConfig(**PRESETS[LABEL_B])),
     ]
-    records = run_suite(
-        args.corpus, configs, time_limit=args.time_limit, workers=args.workers
-    )
+    try:
+        records = run_suite(
+            args.corpus, configs, time_limit=args.time_limit, workers=args.workers
+        )
+    except ValueError as exc:
+        ap.error(str(exc))
 
     os.makedirs(args.out_dir, exist_ok=True)
     write_csv(records, os.path.join(args.out_dir, "runs.csv"))

@@ -9,9 +9,9 @@ chronologically.  Phase selection is pluggable per backtracking state.
 
 from .dimacs import (
     DimacsError,
-    ParseDiagnostics,
     parse_dimacs,
     parse_dimacs_file,
+    parse_model,
     render_result,
     write_dimacs,
 )
@@ -39,7 +39,6 @@ __all__ = [
     "Clause",
     "DimacsError",
     "Formula",
-    "ParseDiagnostics",
     "PhaseHeuristic",
     "PhaseSelector",
     "RestartPolicy",
@@ -59,6 +58,7 @@ __all__ = [
     "make_literal",
     "parse_dimacs",
     "parse_dimacs_file",
+    "parse_model",
     "pigeonhole",
     "random_ksat",
     "render_result",

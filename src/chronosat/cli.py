@@ -3,7 +3,8 @@
 Exit codes follow SAT-competition convention for `solve` (10 SAT, 20 UNSAT,
 0 unknown/timeout); `bench` exits 0 on completion; `verify` exits 0 when the
 model satisfies the formula and 1 when it does not.  Usage and input errors
-exit 2 with a diagnostic on stderr.
+exit 2 with a diagnostic on stderr.  Both text formats, DIMACS CNF and
+competition-style results, are parsed and rendered in `dimacs`.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, TypeVar
 
 from .bench import par2_score, run_suite, write_csv
-from .dimacs import DimacsError, parse_dimacs_file, render_result
+from .dimacs import DimacsError, parse_dimacs, parse_model, render_result
 from .engine import solve_formula
 from .model import PhaseHeuristic, RestartPolicy, SolverConfig, Verdict
 from .verify import first_falsified_clause
@@ -35,6 +36,9 @@ PRESETS = {
 }
 
 _EXIT_CODES = {Verdict.SAT: 10, Verdict.UNSAT: 20, Verdict.UNKNOWN: 0}
+
+_T = TypeVar("_T")
+
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     phases = [h.value for h in PhaseHeuristic]
@@ -73,22 +77,22 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         return SolverConfig(**kwargs)
     except ValueError as exc:
         parser.error(str(exc))
-        raise AssertionError("unreachable")  # parser.error exits
 
 
-def _parse_file(path: str, parser: argparse.ArgumentParser):
+def _read(path: str, parse: Callable[[str], _T], parser: argparse.ArgumentParser) -> _T:
+    """Parse a text file; an unreadable or malformed one is a usage error."""
     try:
-        return parse_dimacs_file(path)
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            return parse(fh.read())
     except OSError as exc:
         parser.error(f"cannot read {path}: {exc.strerror or exc}")
     except DimacsError as exc:
         parser.error(f"{path}: {exc}")
-    raise AssertionError("unreachable")
 
 
 def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    formula, diags = _parse_file(args.cnf, parser)
-    for lineno, message in diags.warnings:
+    formula, warnings = _read(args.cnf, parse_dimacs, parser)
+    for lineno, message in warnings:
         print(f"c warning: line {lineno}: {message}", file=sys.stderr)
     config = _build_config(args, parser)
     result = solve_formula(formula, config)
@@ -103,15 +107,9 @@ def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     config = _build_config(args, parser)
     label = args.label or args.preset or "custom"
     try:
-        records = run_suite(
-            args.corpus,
-            [(label, config)],
-            time_limit=args.time_limit_seconds,
-            workers=args.workers,
-        )
+        records = run_suite(args.corpus, [(label, config)], workers=args.workers)
     except ValueError as exc:
         parser.error(str(exc))
-        raise AssertionError("unreachable")
     write_csv(records, args.out)
     solved = sum(1 for r in records if r.solved)
     print(f"c bench label={label} instances={len(records)} solved={solved}")
@@ -121,54 +119,9 @@ def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _read_model_file(path: str, variable_count: int,
-                     parser: argparse.ArgumentParser) -> List[bool]:
-    """Read a model as signed integers, either bare or on 'v' lines.
-
-    Comment ('c') and status ('s') lines are ignored, a 0 terminates the
-    model, and every variable must be assigned exactly once.
-    """
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        parser.error(f"cannot read {path}: {exc.strerror or exc}")
-        raise AssertionError("unreachable")
-    assignment = {}
-    done = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line[0] in "cs":
-            continue
-        tokens = line.split()
-        if tokens[0] == "v":
-            tokens = tokens[1:]
-        for tok in tokens:
-            if done:
-                parser.error(f"{path}: literals after the terminating 0")
-            try:
-                n = int(tok)
-            except ValueError:
-                parser.error(f"{path}: invalid literal {tok!r}")
-                raise AssertionError("unreachable")
-            if n == 0:
-                done = True
-                continue
-            var = abs(n) - 1
-            if var >= variable_count:
-                parser.error(f"{path}: literal {n} exceeds variable count {variable_count}")
-            if var in assignment:
-                parser.error(f"{path}: variable {abs(n)} assigned twice")
-            assignment[var] = n > 0
-    missing = [v + 1 for v in range(variable_count) if v not in assignment]
-    if missing:
-        parser.error(f"{path}: model does not assign variable(s) {missing[:5]}")
-    return [assignment[v] for v in range(variable_count)]
-
-
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    formula, _ = _parse_file(args.cnf, parser)
-    model = _read_model_file(args.model, formula.variable_count, parser)
+    formula, _ = _read(args.cnf, parse_dimacs, parser)
+    model = _read(args.model, lambda text: parse_model(text, formula.variable_count), parser)
     idx = first_falsified_clause(formula, model)
     if idx is None:
         print("c verify: model satisfies the formula")

@@ -1,14 +1,12 @@
-"""DIMACS CNF parsing and competition-style result rendering.
+"""The two text formats: DIMACS CNF input and competition-style results.
 
-Parsing is tolerant by default: a header/body clause-count mismatch is a
-diagnostic warning, not an error.  Strict mode upgrades that mismatch to an
-error.  Hard errors (bad header, literal out of range, junk tokens, missing
-clause terminator) always raise DimacsError with a 1-based line number.
+A CNF header/body clause-count mismatch is a warning, not an error.  Hard
+errors (bad header, literal out of range, junk tokens, missing clause
+terminator, malformed model) raise DimacsError with a 1-based line number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from .model import (
@@ -31,22 +29,10 @@ class DimacsError(ValueError):
         self.line = line
 
 
-@dataclass
-class ParseDiagnostics:
-    """Non-fatal observations collected while parsing."""
-
-    warnings: List[Tuple[int, str]] = field(default_factory=list)
-    declared_clause_count: int = 0
-    parsed_clause_count: int = 0
-
-    def warn(self, line: int, message: str) -> None:
-        self.warnings.append((line, message))
-
-
 def parse_dimacs(
-    text: Union[str, bytes], strict: bool = False
-) -> Tuple[Formula, ParseDiagnostics]:
-    """Parse DIMACS CNF text into a Formula.
+    text: Union[str, bytes]
+) -> Tuple[Formula, List[Tuple[int, str]]]:
+    """Parse DIMACS CNF text into a Formula and its (line, message) warnings.
 
     Comment lines ('c ...') and blank lines may appear anywhere.  Clauses may
     span lines; every clause ends with a 0 token.  Tautological clauses are
@@ -56,8 +42,9 @@ def parse_dimacs(
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
 
-    diags = ParseDiagnostics()
+    warnings: List[Tuple[int, str]] = []
     nvars = -1
+    declared_clauses = parsed_clauses = 0
     clauses = []
     pending: List[int] = []
     lineno = 0
@@ -79,7 +66,6 @@ def parse_dimacs(
                 raise DimacsError(lineno, f"non-integer header field in {line!r}")
             if nvars < 0 or declared_clauses < 0:
                 raise DimacsError(lineno, "header counts must be non-negative")
-            diags.declared_clause_count = declared_clauses
             continue
         if nvars < 0:
             raise DimacsError(lineno, "clause data before 'p cnf' header")
@@ -89,10 +75,10 @@ def parse_dimacs(
             except ValueError:
                 raise DimacsError(lineno, f"invalid token {tok!r}")
             if n == 0:
-                diags.parsed_clause_count += 1
+                parsed_clauses += 1
                 clause = make_clause(pending)
                 if clause is None:
-                    diags.warn(lineno, "tautological clause dropped")
+                    warnings.append((lineno, "tautological clause dropped"))
                 else:
                     clauses.append(clause)
                 pending = []
@@ -108,24 +94,60 @@ def parse_dimacs(
         raise DimacsError(last_line, "missing 'p cnf' header")
     if pending:
         raise DimacsError(last_line, "clause missing terminating 0 at end of input")
+    if parsed_clauses != declared_clauses:
+        warnings.append((
+            last_line,
+            f"header declares {declared_clauses} clauses, found {parsed_clauses}",
+        ))
 
-    if diags.parsed_clause_count != diags.declared_clause_count:
-        msg = (
-            f"header declares {diags.declared_clause_count} clauses, "
-            f"found {diags.parsed_clause_count}"
-        )
-        if strict:
-            raise DimacsError(last_line, msg)
-        diags.warn(last_line, msg)
-
-    return Formula(nvars, clauses), diags
+    return Formula(nvars, clauses), warnings
 
 
-def parse_dimacs_file(
-    path, strict: bool = False
-) -> Tuple[Formula, ParseDiagnostics]:
+def parse_dimacs_file(path) -> Tuple[Formula, List[Tuple[int, str]]]:
     with open(path, "rb") as fh:
-        return parse_dimacs(fh.read(), strict=strict)
+        return parse_dimacs(fh.read())
+
+
+def parse_model(text: str, variable_count: int) -> List[bool]:
+    """Read a model as signed literals, either bare or on 'v' lines.
+
+    Comment ('c') and status ('s') lines are skipped, a 0 ends the model,
+    and every variable must be assigned exactly once, so the output of
+    render_result reads back as its model.
+    """
+    model: List[Optional[bool]] = [None] * variable_count
+    done = False
+    lineno = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] in "cs":
+            continue
+        tokens = line.split()
+        if tokens[0] == "v":
+            del tokens[0]
+        for tok in tokens:
+            if done:
+                raise DimacsError(lineno, "literals after the terminating 0")
+            try:
+                n = int(tok)
+            except ValueError:
+                raise DimacsError(lineno, f"invalid literal {tok!r}")
+            if n == 0:
+                done = True
+                continue
+            if abs(n) > variable_count:
+                raise DimacsError(
+                    lineno, f"literal {n} exceeds variable count {variable_count}"
+                )
+            if model[abs(n) - 1] is not None:
+                raise DimacsError(lineno, f"variable {abs(n)} assigned twice")
+            model[abs(n) - 1] = n > 0
+    missing = [v + 1 for v, value in enumerate(model) if value is None]
+    if missing:
+        raise DimacsError(
+            max(lineno, 1), f"model does not assign variable(s) {missing[:5]}"
+        )
+    return model
 
 
 def write_dimacs(formula: Formula, comments: Optional[List[str]] = None) -> str:

@@ -186,12 +186,23 @@ def test_verify_falsifying_model_exits_one(tmp_path, capsys):
     ["1 0\n", "1 2 3 0\n", "1 1 -2 0\n", "1 x 0\n", "1 -2 0 5\n"],
     ids=["missing-var", "over-count", "duplicate", "junk-token", "after-zero"],
 )
-def test_verify_malformed_models_exit_two(tmp_path, model_text):
+def test_verify_malformed_models_exit_two(tmp_path, capsys, model_text):
     cnf = write(tmp_path, "s.cnf", SAT_TEXT)
     model = write(tmp_path, "m.txt", model_text)
     with pytest.raises(SystemExit) as exc:
         main(["verify", cnf, model])
     assert exc.value.code == 2
+    assert f"{model}: line 1: " in capsys.readouterr().err
+
+
+def test_verify_undecodable_model_exits_two(tmp_path, capsys):
+    cnf = write(tmp_path, "s.cnf", SAT_TEXT)
+    model = tmp_path / "m.txt"
+    model.write_bytes(b"v -1 \xff 0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", cnf, str(model)])
+    assert exc.value.code == 2
+    assert "line 1: invalid literal" in capsys.readouterr().err
 
 
 # -- bench ------------------------------------------------------------------------

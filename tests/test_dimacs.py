@@ -1,13 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chronosat.dimacs import (
     MAX_VALUE_LINE_CHARS,
     DimacsError,
     parse_dimacs,
     parse_dimacs_file,
+    parse_model,
     render_result,
     write_dimacs,
 )
@@ -20,13 +21,11 @@ def clause_ints(formula):
 
 
 def test_parse_basic():
-    f, d = parse_dimacs("p cnf 2 2\n1 -2 0\n2 1 0\n")
+    f, warnings = parse_dimacs("p cnf 2 2\n1 -2 0\n2 1 0\n")
     assert f.variable_count == 2
     assert f.clauses == [(0, 3), (2, 0)]
     assert clause_ints(f) == [[1, -2], [2, 1]]
-    assert d.warnings == []
-    assert d.declared_clause_count == 2
-    assert d.parsed_clause_count == 2
+    assert warnings == []
 
 
 def test_parse_accepts_bytes_and_crlf():
@@ -36,9 +35,9 @@ def test_parse_accepts_bytes_and_crlf():
 
 def test_parse_comments_and_blank_lines_anywhere():
     text = "c top\n\np cnf 3 2\nc middle\n1 2 0\n\nc again\n-3 0\n"
-    f, d = parse_dimacs(text)
+    f, warnings = parse_dimacs(text)
     assert clause_ints(f) == [[1, 2], [-3]]
-    assert d.warnings == []
+    assert warnings == []
 
 
 def test_parse_clause_spanning_lines():
@@ -47,15 +46,9 @@ def test_parse_clause_spanning_lines():
 
 
 def test_parse_count_mismatch_warns_by_default():
-    f, d = parse_dimacs("p cnf 2 3\n1 0\n")
+    f, warnings = parse_dimacs("p cnf 2 3\n1 0\n")
     assert f.clause_count == 1
-    assert len(d.warnings) == 1
-    assert "declares 3" in d.warnings[0][1]
-
-
-def test_parse_count_mismatch_is_error_in_strict_mode():
-    with pytest.raises(DimacsError):
-        parse_dimacs("p cnf 2 3\n1 0\n", strict=True)
+    assert warnings == [(2, "header declares 3 clauses, found 1")]
 
 
 def test_parse_missing_header():
@@ -94,11 +87,10 @@ def test_parse_missing_terminating_zero():
 
 
 def test_parse_tautology_dropped_with_warning():
-    f, d = parse_dimacs("p cnf 2 2\n1 -1 0\n2 0\n")
+    f, warnings = parse_dimacs("p cnf 2 2\n1 -1 0\n2 0\n")
     assert clause_ints(f) == [[2]]
-    assert any("tautological" in msg for _, msg in d.warnings)
-    # count warning compares against raw parsed clauses, so 2 == 2 here
-    assert d.parsed_clause_count == 2
+    # the count check compares against raw parsed clauses, so 2 == 2 here
+    assert warnings == [(2, "tautological clause dropped")]
 
 
 def test_parse_duplicate_literals_merged():
@@ -113,10 +105,10 @@ def test_parse_empty_clause_is_kept():
 
 
 def test_parse_zero_vars_zero_clauses():
-    f, d = parse_dimacs("p cnf 0 0\n")
+    f, warnings = parse_dimacs("p cnf 0 0\n")
     assert f.variable_count == 0
     assert f.clause_count == 0
-    assert d.warnings == []
+    assert warnings == []
 
 
 def test_parse_file(tmp_path):
@@ -129,10 +121,10 @@ def test_parse_file(tmp_path):
 def test_write_dimacs_round_trip_small():
     f = random_ksat(6, seed=9)
     text = write_dimacs(f, comments=["generated"])
-    g, d = parse_dimacs(text)
+    g, warnings = parse_dimacs(text)
     assert g.variable_count == f.variable_count
     assert clause_ints(g) == clause_ints(f)
-    assert d.warnings == []
+    assert warnings == []
 
 
 @settings(deadline=None, max_examples=40)
@@ -176,3 +168,29 @@ def test_render_wraps_value_lines():
     assert tokens[-1] == "0"
     ints = [int(t) for t in tokens[:-1]]
     assert ints == [(v + 1) if v % 2 == 0 else -(v + 1) for v in range(n)]
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("c m\nv 1\nv 0\n", "line 3: model does not assign variable"),
+        ("v 1 -2\nv 3 0\n", "line 2: literal 3 exceeds variable count 2"),
+        ("1\n1 -2 0\n", "line 2: variable 1 assigned twice"),
+        ("s SATISFIABLE\nv 1 x 0\n", "line 2: invalid literal 'x'"),
+        ("v 1 -2 0\nv 5\n", "line 2: literals after the terminating 0"),
+    ],
+    ids=["missing-var", "over-count", "duplicate", "junk-token", "after-zero"],
+)
+def test_parse_model_rejection_names_its_line(text, match):
+    with pytest.raises(DimacsError, match=match):
+        parse_model(text, 2)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=3000), st.integers(min_value=0))
+@example(0, 0)
+@example(2000, 7)  # wraps the value lines past MAX_VALUE_LINE_CHARS
+def test_parse_model_reads_back_rendered_result(n, seed):
+    rng = random.Random(seed)
+    r = SolveResult(Verdict.SAT, model=[rng.random() < 0.5 for _ in range(n)])
+    assert parse_model(render_result(r), n) == r.model

@@ -5,6 +5,8 @@ import importlib.util
 import os
 import shutil
 
+import pytest
+
 
 def load_script(repo_root, name):
     path = os.path.join(repo_root, "scripts", f"{name}.py")
@@ -48,3 +50,19 @@ def test_run_ab_writes_runs_scatter_and_cactus(repo_root, pack_dir, tmp_path, ca
     assert len(cactus) == len(solved)
     assert sorted({r[0] for r in cactus}) == [run_ab.LABEL_A, run_ab.LABEL_B]
     assert "wrote runs.csv, cactus.csv, scatter.csv" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("limit", ["nan", "0", "inf"])
+@pytest.mark.parametrize("name", ["make_bench_pack", "run_ab"])
+def test_scripts_reject_bad_limits_with_exit_two(repo_root, pack_dir, tmp_path, capsys,
+                                                  name, limit):
+    script = load_script(repo_root, name)
+    out = tmp_path / "out"
+    argv = ["--out-dir", str(out), "--time-limit", limit]
+    if name == "run_ab":
+        argv += ["--corpus", pack_dir]
+    with pytest.raises(SystemExit) as exc:
+        script.main(argv)
+    assert exc.value.code == 2
+    assert "finite and positive" in capsys.readouterr().err
+    assert not out.exists()
