@@ -3,10 +3,25 @@
 A CNF header/body clause-count mismatch is a warning, not an error.  Hard
 errors (bad header, literal out of range, junk tokens, missing clause
 terminator, malformed model) raise DimacsError with a 1-based line number.
+
+parse_dimacs reports the first error in file order, as a reader going
+token by token would meet it: a junk token or an out-of-range literal wins
+over a duplicate 'p' header on a later line, and of two bad tokens on one
+line the earlier wins, whichever kind it is.  A missing terminating 0 is
+reported only after the whole body has been read.  Warnings come in file
+order, each tautology at the line of its terminating 0, and the clause
+count mismatch last.
+
+The clause body is tokenized in one pass: the data lines are joined and
+split once, each distinct token goes through int() once, and the token
+list is mapped to literals through that table.  Line numbers are worked
+out only for a report.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import List, Optional, Tuple, Union
 
 from .model import (
@@ -19,6 +34,9 @@ from .model import (
 )
 
 MAX_VALUE_LINE_CHARS = 4096
+
+# Stands for a clause-ending 0 in the token stream; literals are >= 0.
+_END = -1
 
 
 class DimacsError(ValueError):
@@ -35,27 +53,29 @@ def parse_dimacs(
     """Parse DIMACS CNF text into a Formula and its (line, message) warnings.
 
     Comment lines ('c ...') and blank lines may appear anywhere.  Clauses may
-    span lines; every clause ends with a 0 token.  Tautological clauses are
-    dropped with a warning; duplicate literals within a clause are merged.
-    An explicit empty clause is kept (the formula is trivially UNSAT).
+    span lines; every clause ends with a 0 token.  Tokens are read as int()
+    reads them, so '+1' and '01' are literal 1 and '-0' ends a clause.
+    Tautological clauses are dropped with a warning; duplicate literals
+    within a clause are merged.  An explicit empty clause is kept (the
+    formula is trivially UNSAT).
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
 
-    warnings: List[Tuple[int, str]] = []
+    lines = text.splitlines()
     nvars = -1
-    declared_clauses = parsed_clauses = 0
-    clauses = []
-    pending: List[int] = []
-    lineno = 0
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    declared_clauses = 0
+    header_line = duplicate_header = 0
+    body: List[str] = []
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
+        if not line or line[0] == "c":
             continue
-        if line.startswith("p"):
+        if line[0] == "p":
             if nvars >= 0:
-                raise DimacsError(lineno, "duplicate 'p' header")
+                # Reported only if no bad token comes before it.
+                duplicate_header = lineno
+                break
             parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise DimacsError(lineno, f"malformed header {line!r}")
@@ -66,34 +86,71 @@ def parse_dimacs(
                 raise DimacsError(lineno, f"non-integer header field in {line!r}")
             if nvars < 0 or declared_clauses < 0:
                 raise DimacsError(lineno, "header counts must be non-negative")
+            header_line = lineno
             continue
         if nvars < 0:
             raise DimacsError(lineno, "clause data before 'p cnf' header")
-        for tok in line.split():
-            try:
-                n = int(tok)
-            except ValueError:
-                raise DimacsError(lineno, f"invalid token {tok!r}")
-            if n == 0:
-                parsed_clauses += 1
-                clause = make_clause(pending)
-                if clause is None:
-                    warnings.append((lineno, "tautological clause dropped"))
-                else:
-                    clauses.append(clause)
-                pending = []
-                continue
-            if abs(n) > nvars:
-                raise DimacsError(
-                    lineno, f"literal {n} exceeds declared variable count {nvars}"
-                )
-            pending.append(lit_from_dimacs(n))
+        body.append(line)
 
-    last_line = max(lineno, 1)
+    tokens = " ".join(body).split()
+    lit_of = {}
+    bad = {}
+    for tok in set(tokens):
+        try:
+            n = int(tok)
+        except ValueError:
+            bad[tok] = f"invalid token {tok!r}"
+            continue
+        if n == 0:
+            lit_of[tok] = _END
+        elif abs(n) > nvars:
+            bad[tok] = f"literal {n} exceeds declared variable count {nvars}"
+        else:
+            lit_of[tok] = lit_from_dimacs(n)
+    if bad:
+        for lineno, line in zip(_body_linenos(lines, header_line, body), body):
+            for tok in line.split():
+                if tok in bad:
+                    raise DimacsError(lineno, bad[tok])
+    if duplicate_header:
+        raise DimacsError(duplicate_header, "duplicate 'p' header")
+
+    last_line = max(len(lines), 1)
     if nvars < 0:
         raise DimacsError(last_line, "missing 'p cnf' header")
-    if pending:
+    # Tuples, so that a slice is already a clause.  The token strings are
+    # the parse's largest transient, so they go before any clause is built.
+    lits = tuple(map(lit_of.__getitem__, tokens))
+    del tokens
+    if lits and lits[-1] != _END:
         raise DimacsError(last_line, "clause missing terminating 0 at end of input")
+    var_of = {lit: lit >> 1 for lit in lit_of.values()}
+    variables = tuple(map(var_of.__getitem__, lits))
+
+    clauses = []
+    tautology_ends = []
+    start = 0
+    parsed_clauses = lits.count(_END)
+    for _ in range(parsed_clauses):
+        end = lits.index(_END, start)
+        if len(set(variables[start:end])) == end - start:
+            clauses.append(lits[start:end])
+        else:
+            clause = make_clause(lits[start:end])
+            if clause is None:
+                tautology_ends.append(end)
+            else:
+                clauses.append(clause)
+        start = end + 1
+
+    warnings: List[Tuple[int, str]] = []
+    if tautology_ends:
+        # cum[i] counts the tokens of body lines 0..i.
+        cum = list(accumulate(len(line.split()) for line in body))
+        linenos = _body_linenos(lines, header_line, body)
+        for end in tautology_ends:
+            lineno = linenos[bisect_right(cum, end)]
+            warnings.append((lineno, "tautological clause dropped"))
     if parsed_clauses != declared_clauses:
         warnings.append((
             last_line,
@@ -101,6 +158,20 @@ def parse_dimacs(
         ))
 
     return Formula(nvars, clauses), warnings
+
+
+def _body_linenos(lines: List[str], header_line: int, body: List[str]) -> List[int]:
+    """The 1-based line numbers of body, the clause-data lines that follow
+    the header on line header_line, found again by skipping blank and
+    comment lines as parse_dimacs does."""
+    linenos: List[int] = []
+    for lineno in range(header_line + 1, len(lines) + 1):
+        if len(linenos) == len(body):
+            break
+        line = lines[lineno - 1].strip()
+        if line and line[0] != "c":
+            linenos.append(lineno)
+    return linenos
 
 
 def parse_dimacs_file(path) -> Tuple[Formula, List[Tuple[int, str]]]:

@@ -22,6 +22,12 @@ rule in choose_backtrack_level.
 
 Formula clauses are literal tuples; the engine copies each into its own
 Clause record, whose literal list the propagator reorders in place.
+
+Watch lists are flat: ``watches[lit]`` alternates clause and blocker,
+``[c0, b0, c1, b1, ...]``, so a watcher costs two list slots and no object
+of its own.  The blocker is a literal of the clause whose truth lets the
+propagator skip it without touching the clause (Chu, Harwood & Stuckey,
+"Cache Conscious Data Structures for Boolean Satisfiability Solvers").
 """
 
 from __future__ import annotations
@@ -147,6 +153,7 @@ class Solver:
         self.qhead = 0
         self.decision_level = 0
 
+        # watches[lit] is flat: clause, blocker, clause, blocker, ...
         self.watches: List[list] = [[] for _ in range(2 * n)]
         self.clauses: List[Clause] = []
         self.learnts: List[Clause] = []
@@ -168,36 +175,39 @@ class Solver:
         self._lbd_recent: deque = deque(maxlen=GLUCOSE_WINDOW)
         self._lbd_global_sum = 0
 
+        # Input clauses are attached in order, as _attach would; a unit is
+        # assigned at level 0, and an empty or falsified one stops here.
         self.ok = True
+        watches = self.watches
+        clauses = self.clauses
+        value = self.value
         for clause in formula.clauses:
-            if not self._add_input_clause(list(clause)):
+            if len(clause) > 1:
+                c = Clause(list(clause))
+                clauses.append(c)
+                l0, l1 = clause[0], clause[1]
+                wl = watches[l0]
+                wl.append(c)
+                wl.append(l1)
+                wl = watches[l1]
+                wl.append(c)
+                wl.append(l0)
+            elif not clause or value[clause[0]] < 0:
                 self.ok = False
                 break
+            elif value[clause[0]] == 0:
+                self._enqueue(clause[0], None, 0)
 
     # -- construction --------------------------------------------------------
 
-    def _add_input_clause(self, lits: List[int]) -> bool:
-        """Attach one input clause (engine-owned literal list).  False when
-        the clause makes the formula trivially unsatisfiable."""
-        if not lits:
-            return False
-        if len(lits) == 1:
-            l = lits[0]
-            val = self.value[l]
-            if val < 0:
-                return False
-            if val == 0:
-                self._enqueue(l, None, 0)
-            return True
-        c = Clause(lits, learnt=False)
-        self.clauses.append(c)
-        self._attach(c)
-        return True
-
     def _attach(self, c: Clause) -> None:
         lits = c.lits
-        self.watches[lits[0]].append([c, lits[1]])
-        self.watches[lits[1]].append([c, lits[0]])
+        wl = self.watches[lits[0]]
+        wl.append(c)
+        wl.append(lits[1])
+        wl = self.watches[lits[1]]
+        wl.append(c)
+        wl.append(lits[0])
 
     def _enqueue(self, lit: int, reason: Optional[Clause], level: int) -> None:
         self.value[lit] = 1
@@ -215,6 +225,11 @@ class Solver:
 
     def _propagate(self) -> Optional[Clause]:
         """Propagate to fixpoint; returns a conflicting clause or None.
+
+        Each flat watch list is walked two slots at a time (clause, blocker)
+        and compacted in place: a watcher that stays is written back at the
+        write index with its blocker refreshed, and one that moves to a new
+        literal is appended there as a (clause, blocker) pair.
 
         On conflict the queue head is rewound one step so the interrupted
         literal is rescanned after backtracking: under chronological
@@ -240,9 +255,7 @@ class Solver:
             i = j = 0
             n = len(wl)
             while i < n:
-                w = wl[i]
-                i += 1
-                blocker = w[1]
+                blocker = wl[i + 1]
                 # Satisfied-by-blocker shortcut.  The blocker may no longer
                 # be watched, so its truth is only trusted when it cannot
                 # outlive the falsity being recorded here: any backtrack
@@ -251,19 +264,23 @@ class Solver:
                 # could mask a clause whose watches are both false, and its
                 # later falsification would never rescan this clause.
                 if value[blocker] > 0 and level[blocker >> 1] <= plevel:
-                    wl[j] = w
-                    j += 1
+                    if i != j:  # until a watcher moves, it is already in place
+                        wl[j] = wl[i]
+                        wl[j + 1] = blocker
+                    i += 2
+                    j += 2
                     continue
-                c = w[0]
+                c = wl[i]
+                i += 2
                 lits = c.lits
                 if lits[0] == false_lit:
                     lits[0] = lits[1]
                     lits[1] = false_lit
                 first = lits[0]
                 if first != blocker and value[first] > 0:
-                    w[1] = first
-                    wl[j] = w
-                    j += 1
+                    wl[j] = c
+                    wl[j + 1] = first
+                    j += 2
                     continue
                 # Search a replacement watch; every literal inspected and
                 # rejected is false, so the running max of their levels is
@@ -277,8 +294,9 @@ class Solver:
                     if value[lk] >= 0:
                         lits[1] = lk
                         lits[k] = false_lit
-                        w[1] = first
-                        watches[lk].append(w)
+                        moved = watches[lk]
+                        moved.append(c)
+                        moved.append(first)
                         found = True
                         break
                     lev = level[lk >> 1]
@@ -287,15 +305,11 @@ class Solver:
                     k += 1
                 if found:
                     continue
-                w[1] = first
-                wl[j] = w
-                j += 1
+                wl[j] = c
+                wl[j + 1] = first
+                j += 2
                 fval = value[first]
                 if fval < 0:
-                    while i < n:
-                        wl[j] = wl[i]
-                        j += 1
-                        i += 1
                     confl = c
                     break
                 if fval == 0:
@@ -307,7 +321,9 @@ class Solver:
                     trail.append(first)
                 # else: first is true at a level above plevel; the clause is
                 # satisfied and first is still watched, so nothing to do.
-            del wl[j:]
+            # Drop the slots left behind by moved watchers; after a conflict
+            # the unvisited watchers from i on stay, in order.
+            del wl[j:i]
             if confl is not None:
                 qhead -= 1
                 break
@@ -655,18 +671,27 @@ class Solver:
     def debug_check_watches(self) -> None:
         """Assert watch-list consistency; call only at propagation fixpoint.
 
-        Every clause of size >= 2 must be watched exactly at its first two
-        positions.  Both watches being false is legal only while the clause
-        is satisfied elsewhere (a blocker truth kept a falsified watch); a
-        clause with both watches false and no true literal would be a
-        missed conflict."""
+        Every watch list must alternate clause and blocker, each blocker a
+        literal of its clause, and every clause of size >= 2 must be watched
+        exactly at its first two positions.  Both watches being false is
+        legal only while the clause is satisfied elsewhere (a blocker truth
+        kept a falsified watch); a clause with both watches false and no true
+        literal would be a missed conflict."""
         expected = {}
         for c in self.clauses + self.learnts:
             expected[id(c)] = (c, {c.lits[0], c.lits[1]})
         seen_counts = {cid: [] for cid in expected}
         for lit in range(2 * self.n_vars):
-            for w in self.watches[lit]:
-                cid = id(w[0])
+            wl = self.watches[lit]
+            if len(wl) % 2:
+                raise AssertionError(f"watch list of {lit} has odd length")
+            for k in range(0, len(wl), 2):
+                c, blocker = wl[k], wl[k + 1]
+                if not isinstance(c, Clause):
+                    raise AssertionError(f"watch list of {lit} holds {c!r} at {k}")
+                if blocker not in c.lits:
+                    raise AssertionError(f"blocker {blocker} not in {c!r}")
+                cid = id(c)
                 if cid not in expected:
                     raise AssertionError("watcher for unknown clause")
                 seen_counts[cid].append(lit)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, Optional, Tuple
 
 
@@ -64,13 +65,19 @@ class Formula:
     def __post_init__(self):
         if self.variable_count < 0:
             raise ValueError("variable_count must be non-negative")
-        for c in self.clauses:
-            for l in c:
-                if not (0 <= l >> 1 < self.variable_count):
-                    raise ValueError(
-                        f"literal {lit_to_dimacs(l)} out of range for "
-                        f"{self.variable_count} variables"
-                    )
+        # A literal is in range when 0 <= l < 2 * variable_count.  One min
+        # and one max over all literals decide it (a min and a max per
+        # clause cost more than a Python comparison per literal), and only a
+        # failure is walked literal by literal to name the first offender.
+        lits = list(chain.from_iterable(self.clauses))
+        if lits and (min(lits) < 0 or max(lits) >= 2 * self.variable_count):
+            for c in self.clauses:
+                for l in c:
+                    if not (0 <= l >> 1 < self.variable_count):
+                        raise ValueError(
+                            f"literal {lit_to_dimacs(l)} out of range for "
+                            f"{self.variable_count} variables"
+                        )
 
     @property
     def clause_count(self) -> int:

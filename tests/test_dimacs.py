@@ -93,6 +93,38 @@ def test_parse_tautology_dropped_with_warning():
     assert warnings == [(2, "tautological clause dropped")]
 
 
+def test_parse_junk_token_before_duplicate_header_wins():
+    with pytest.raises(DimacsError, match="line 2: invalid token 'x'"):
+        parse_dimacs("p cnf 2 1\n1 x 0\np cnf 2 1\n")
+
+
+def test_parse_range_error_before_junk_token_on_one_line_wins():
+    with pytest.raises(DimacsError, match="line 2: literal 7 exceeds"):
+        parse_dimacs("p cnf 2 1\n1 7 x 0\n")
+
+
+def test_parse_tautology_warning_names_line_of_terminating_zero():
+    f, warnings = parse_dimacs("p cnf 2 2\n1\nc note\n-1\n0\n2 0\n")
+    assert clause_ints(f) == [[2]]
+    assert warnings == [(5, "tautological clause dropped")]
+
+
+def test_parse_tokens_read_as_int_reads_them():
+    # '+1' and '01' are both variable 1, and '-0' is a terminator.
+    f, warnings = parse_dimacs("p cnf 2 2\n+1 01 -02 -0\n+02 0\n")
+    assert clause_ints(f) == [[1, -2], [2]]
+    assert warnings == []
+
+
+def test_parse_count_mismatch_warning_follows_tautology_warnings():
+    _, warnings = parse_dimacs("p cnf 2 4\n1 -1 0\n2 0\n-2 2 0\n\n")
+    assert warnings == [
+        (2, "tautological clause dropped"),
+        (4, "tautological clause dropped"),
+        (5, "header declares 4 clauses, found 3"),
+    ]
+
+
 def test_parse_duplicate_literals_merged():
     f, _ = parse_dimacs("p cnf 2 1\n1 1 -2 0\n")
     assert clause_ints(f) == [[1, -2]]

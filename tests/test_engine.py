@@ -141,6 +141,41 @@ def test_binary_clause_satisfied_above_falsifier_implies_after_backtrack():
     s.debug_check_watches()
 
 
+def test_conflict_keeps_later_watchers_of_the_same_literal_in_order():
+    # Three clauses watch x1.  On ~x1 the first moves its watch to x5,
+    # leaving a gap, the second conflicts, and the third is never visited:
+    # it must stay watched, in order, right after the conflicting clause.
+    f = fml(5, [[1, 4, 5], [1, 2], [1, 3]])
+    s = Solver(f)
+    mover, confl_clause, later = s.clauses
+    s._enqueue(lit(-1), None, 1)
+    s._enqueue(lit(-2), None, 2)
+    s.decision_level = 2
+    assert s._propagate() is confl_clause
+    assert s.watches[lit(1)] == [confl_clause, lit(2), later, lit(3)]
+    assert s.watches[lit(5)] == [mover, lit(4)]
+    s._backtrack_to(1)
+    assert s._propagate() is None
+    assert s.value[lit(2)] > 0 and s.value[lit(3)] > 0
+    assert s.watches[lit(1)] == [confl_clause, lit(2), later, lit(3)]
+    s.debug_check_watches()
+
+
+def test_debug_check_watches_rejects_a_broken_flat_layout():
+    s = Solver(fml(3, [[1, 2], [2, 3]]))
+    s.debug_check_watches()
+    s.watches[lit(1)].append(lit(2))
+    with pytest.raises(AssertionError, match="odd length"):
+        s.debug_check_watches()
+    s.watches[lit(1)][-1:] = [lit(2), lit(3)]
+    with pytest.raises(AssertionError, match="holds"):
+        s.debug_check_watches()
+    del s.watches[lit(1)][-2:]
+    s.watches[lit(1)][1] = lit(3)
+    with pytest.raises(AssertionError, match="blocker"):
+        s.debug_check_watches()
+
+
 def test_conflict_detected_on_fully_falsified_clause():
     f = fml(2, [[1, 2]])
     s = Solver(f)

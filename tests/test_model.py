@@ -74,6 +74,11 @@ def test_formula_rejects_out_of_range_literal():
         Formula(1, [(make_literal(1, True),)])
 
 
+def test_formula_rejects_negative_literal():
+    with pytest.raises(ValueError, match="out of range for 2 variables"):
+        Formula(2, [(0, 3), (2, -1)])
+
+
 def test_formula_counts():
     f = Formula(2, [make_clause([0]), make_clause([2, 1])])
     assert f.variable_count == 2
