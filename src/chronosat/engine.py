@@ -112,20 +112,19 @@ def choose_backtrack_level(
 
 
 class Clause:
-    """An input clause's literal list, or a learnt clause with its LBD and
-    activity.  Positions 0 and 1 of ``lits`` are watched, and a reason
-    clause holds its implied literal at position 0."""
+    """A clause's literals, LBD and activity.  An input clause has LBD 0, a
+    learnt one LBD >= 1 as its literals sit above level 0.  Positions 0 and
+    1 of ``lits`` are watched; a reason holds its implied literal at 0."""
 
-    __slots__ = ("lits", "learnt", "lbd", "activity")
+    __slots__ = ("lits", "lbd", "activity")
 
-    def __init__(self, lits: List[int], learnt: bool = False, lbd: int = 0):
+    def __init__(self, lits: List[int], lbd: int = 0, activity: float = 0.0):
         self.lits = lits
-        self.learnt = learnt
         self.lbd = lbd
-        self.activity = 0.0
+        self.activity = activity
 
     def __repr__(self) -> str:
-        kind = "learnt" if self.learnt else "input"
+        kind = "learnt" if self.lbd else "input"
         return f"Clause({[lit_to_dimacs(l) for l in self.lits]}, {kind})"
 
 
@@ -354,7 +353,7 @@ class Solver:
         c = confl
 
         while True:
-            if c.learnt:
+            if c.lbd:
                 self._cla_bump(c)
             for q in c.lits:
                 if q == p:
@@ -635,14 +634,12 @@ class Solver:
                     stats.cb_backtracks += 1
                 else:
                     stats.ncb_backtracks += 1
-                if len(learnt) == 1:
-                    self._enqueue(learnt[0], None, 0)
-                else:
-                    c = Clause(learnt, learnt=True, lbd=lbd)
-                    c.activity = self.cla_inc
+                c = None
+                if len(learnt) > 1:
+                    c = Clause(learnt, lbd, self.cla_inc)
                     self.learnts.append(c)
                     self._attach(c)
-                    self._enqueue(learnt[0], c, assert_level)
+                self._enqueue(learnt[0], c, assert_level)
                 self.phase.on_clause_learnt(learnt)
                 self.var_inc *= 1.0 / VAR_DECAY
                 self.cla_inc *= 1.0 / CLA_DECAY

@@ -55,11 +55,10 @@ class PhaseSelector:
         self.dps: Optional[List[float]] = (
             [0.0] * n_vars if PhaseHeuristic.DPS in used else None
         )
-        self.lsids_activity: Optional[List[float]] = None
-        self.lsids_inc: Optional[float] = None
-        if PhaseHeuristic.LSIDS in used:
-            self.lsids_activity = [0.0] * (2 * n_vars)
-            self.lsids_inc = 1.0
+        self.lsids_activity: Optional[List[float]] = (
+            [0.0] * (2 * n_vars) if PhaseHeuristic.LSIDS in used else None
+        )
+        self.lsids_inc = 1.0
         self.rng = random.Random(config.random_seed)
 
     # -- state maintenance hooks -------------------------------------------

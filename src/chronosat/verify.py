@@ -4,14 +4,15 @@ Both are deliberately separate from the search engine so they can referee
 it.  The brute-force solver enumerates all assignments (vectorised with
 numpy, in chunks, so the 26-variable cap stays at desk scale) and returns
 the lexicographically first model, treating a model as the tuple
-(m[0], ..., m[n-1]) with False < True.
+(m[0], ..., m[n-1]) with False < True.  Clauses go through make_clause,
+so duplicate literals merge and a tautology rules out no assignment.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from .model import Formula, SolveResult, Verdict
+from .model import Formula, SolveResult, Verdict, make_clause
 
 BRUTE_FORCE_VAR_CAP = 26
 _CHUNK_BITS = 20
@@ -29,7 +30,8 @@ def check_model(formula: Formula, model: List[bool]) -> bool:
 def brute_force_solve(formula: Formula) -> SolveResult:
     """Exhaustive solve by enumeration; the ground-truth oracle.
 
-    Returns Sat with the lexicographically first model, or Unsat.  Enforces
+    Returns Sat with the lexicographically first model, or Unsat.  Clauses
+    go through make_clause, so a tautology rules out nothing.  Enforces
     BRUTE_FORCE_VAR_CAP since the sweep is exponential.
     """
     # Imported here so that the solver itself never loads numpy.
@@ -45,7 +47,9 @@ def brute_force_solve(formula: Formula) -> SolveResult:
     # are false: one (mask, pattern) test per clause.  Assignment index i
     # encodes m[k] in bit (n-1-k) so ascending i is lexicographic order.
     tests = []
-    for clause in formula.clauses:
+    for clause in map(make_clause, formula.clauses):
+        if clause is None:
+            continue
         mask = 0
         pattern = 0
         for lit in clause:
@@ -57,12 +61,11 @@ def brute_force_solve(formula: Formula) -> SolveResult:
 
     total = 1 << n
     chunk = min(total, 1 << _CHUNK_BITS)
-    dtype = np.uint32 if n <= 31 else np.uint64
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=dtype)
+        idx = np.arange(start, min(start + chunk, total), dtype=np.uint32)
         alive = np.ones(idx.shape, dtype=bool)
         for mask, pattern in tests:
-            alive &= (idx & dtype(mask)) != dtype(pattern)
+            alive &= (idx & np.uint32(mask)) != np.uint32(pattern)
             if not alive.any():
                 break
         hits = np.flatnonzero(alive)

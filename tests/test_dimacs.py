@@ -71,6 +71,19 @@ def test_parse_malformed_header():
         parse_dimacs("p sat 2 1\n1 0\n")
 
 
+@pytest.mark.parametrize(
+    "header, match",
+    [
+        ("p cnf x 2", "non-integer header field"),
+        ("p cnf -1 2", "header counts must be non-negative"),
+    ],
+)
+def test_parse_header_field_errors_name_line_1(header, match):
+    with pytest.raises(DimacsError, match=match) as err:
+        parse_dimacs(header + "\n1 0\n")
+    assert err.value.line == 1
+
+
 def test_parse_bad_token_reports_line_number():
     with pytest.raises(DimacsError, match="line 3: invalid token 'two'"):
         parse_dimacs("c x\np cnf 2 1\n1 two 0\n")

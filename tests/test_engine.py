@@ -481,8 +481,7 @@ def test_heap_holds_current_entry_of_every_unassigned_variable(
 
 
 def _inject_learnt(s, signed, lbd, activity):
-    c = Clause([lit(n) for n in signed], learnt=True, lbd=lbd)
-    c.activity = activity
+    c = Clause([lit(n) for n in signed], lbd, activity)
     s.learnts.append(c)
     s._attach(c)
     return c
@@ -523,6 +522,30 @@ def test_reduce_db_breaks_lbd_ties_by_activity():
     assert id(filler) in survivors
     assert id(strong) in survivors
     assert id(weak) not in survivors
+
+
+def test_cla_bump_rescales_every_learnt_activity():
+    s = Solver(Formula(8, []))
+    learnts = [
+        _inject_learnt(s, [1, 2], 3, 5.0),
+        _inject_learnt(s, [3, 4], 3, 7.0),
+        _inject_learnt(s, [5, 6], 4, 2.0),
+        _inject_learnt(s, [7, 8], 3, 1.0),
+    ]
+    ranking = sorted(learnts, key=lambda c: (c.lbd, -c.activity))
+    s.cla_inc = 2 * engine.CLA_RESCALE_LIMIT
+    before = [c.activity for c in learnts]
+    before[3] += s.cla_inc
+    s._cla_bump(learnts[3])
+    assert [c.activity for c in learnts] == [
+        a * engine.CLA_RESCALE_FACTOR for a in before
+    ]
+    assert s.cla_inc == 2 * engine.CLA_RESCALE_LIMIT * engine.CLA_RESCALE_FACTOR
+    # The bump moved the last clause to the front of its LBD class, and the
+    # rescale kept that order.
+    ranking.remove(learnts[3])
+    ranking.insert(0, learnts[3])
+    assert sorted(learnts, key=lambda c: (c.lbd, -c.activity)) == ranking
 
 
 def test_tiny_db_limit_same_verdict_as_default():

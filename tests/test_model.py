@@ -79,6 +79,13 @@ def test_formula_rejects_negative_literal():
         Formula(2, [(0, 3), (2, -1)])
 
 
+def test_negative_variable_index_rejected():
+    with pytest.raises(ValueError):
+        make_literal(-1, True)
+    with pytest.raises(ValueError):
+        Formula(-1, [])
+
+
 def test_formula_counts():
     f = Formula(2, [make_clause([0]), make_clause([2, 1])])
     assert f.variable_count == 2

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chronosat
+from chronosat.engine import solve_formula
 from chronosat.gen import pigeonhole, random_ksat
 from chronosat.model import Formula, Verdict, make_clause, make_literal
 from chronosat.verify import (
@@ -79,6 +80,35 @@ def test_brute_force_model_prefers_false():
     f = Formula(3, [])
     r = brute_force_solve(f)
     assert r.model == [False, False, False]
+
+
+def test_brute_force_tautology_rules_out_nothing():
+    # (x1 or not x1) and x1: the tautology must not rule out [True].
+    r = brute_force_solve(Formula(1, [(0, 1), (0,)]))
+    assert r.verdict is Verdict.SAT
+    assert r.model == [True]
+
+
+def test_brute_force_agrees_with_engine_on_repeated_variables():
+    # Clauses drawn with replacement repeat variables, so some hold a
+    # duplicate literal and some a tautology.
+    rng = random.Random(2024)
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        clauses = [
+            tuple(
+                make_literal(rng.randrange(n), rng.random() < 0.5)
+                for _ in range(rng.randint(1, 4))
+            )
+            for _ in range(rng.randint(1, 3 * n))
+        ]
+        f = Formula(n, clauses)
+        normalised = Formula(n, [c for c in map(make_clause, clauses) if c is not None])
+        got = brute_force_solve(f)
+        assert got.verdict is solve_formula(f).verdict, clauses
+        if got.verdict is Verdict.SAT:
+            assert check_model(f, got.model)
+            assert got.model == _reference_enumerate(normalised)
 
 
 def test_brute_force_enforces_variable_cap():
