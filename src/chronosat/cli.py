@@ -145,7 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("corpus", help="directory of .cnf files")
     p_bench.add_argument("--out", required=True, help="CSV output path")
     p_bench.add_argument("--label", help="configLabel for the CSV (default: preset or 'custom')")
-    p_bench.add_argument("--workers", type=int, default=1, help="worker processes")
+    p_bench.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes; jobs are grouped per file, each file is parsed "
+        "once per suite, and the cyclic collector is paused during a job",
+    )
     _add_config_flags(p_bench)
 
     p_verify = sub.add_parser("verify", help="check a model against a CNF")

@@ -1,9 +1,12 @@
 import csv
+import gc
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from chronosat import bench
 from chronosat.bench import (
     COUNTER_NAMES,
     CSV_HEADER,
@@ -24,6 +27,9 @@ from chronosat.model import SolverConfig
 
 SAT_TEXT = "p cnf 2 2\n1 2 0\n-1 0\n"
 UNSAT_TEXT = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
+# Two texts of the same length with different verdicts.
+SAT_TWIN = "p cnf 2 2\n1 0\n-2 0\n"
+UNSAT_TWIN = "p cnf 2 2\n1 0\n-1 0\n"
 
 
 def rec(instance="i", label="a", verdict="SAT", time_s=1.0, timed_out=False, **kw):
@@ -198,6 +204,104 @@ def test_run_suite_error_rows_do_not_abort_the_suite(tmp_path):
     by_name = {r.instance: r for r in rows}
     assert by_name["bad.cnf"].verdict == "ERROR"
     assert by_name["ok.cnf"].verdict == "SAT"
+    # An unparsable file gives one ERROR row per configuration, serially and
+    # in worker processes, and the files after it still run.
+    _write(tmp_path, "z_ok.cnf", UNSAT_TEXT)
+    configs = [(label, SolverConfig()) for label in ("x", "y", "z")]
+    for workers in (1, 2):
+        rows = run_suite(str(tmp_path), configs, workers=workers)
+        assert [(r.instance, r.config_label, r.verdict) for r in rows] == [
+            *(("bad.cnf", label, "ERROR") for label in "xyz"),
+            *(("ok.cnf", label, "SAT") for label in "xyz"),
+            *(("z_ok.cnf", label, "UNSAT") for label in "xyz"),
+        ]
+        assert all(r.time_s == 0.0 and not r.timed_out for r in rows[:3])
+
+
+def test_run_suite_parses_each_file_once_and_runs_every_job(tmp_path, pack_dir, monkeypatch):
+    paths = [os.path.join(pack_dir, f"{kind}_000.cnf") for kind in ("sat", "unsat")]
+    paths.append(_write(tmp_path, "small.cnf", UNSAT_TEXT))
+    configs = [
+        ("a", SolverConfig()),
+        ("b", SolverConfig(cb_threshold_t=0, cb_min_conflicts_c=0)),
+        ("c", SolverConfig(cb_threshold_t=0, cb_min_conflicts_c=0, cb_phase_heuristic="lsids")),
+    ]
+    expected = [
+        run_instance(path, label, cfg) for path in paths for label, cfg in configs
+    ]
+    expected.sort(key=lambda r: (r.instance, r.config_label))
+    parses, jobs = [], []
+    original_parse, original_job = bench.parse_dimacs_file, bench.run_instance
+
+    def counting_parse(path):
+        parses.append(path)
+        return original_parse(path)
+
+    def counting_job(path, label, config):
+        jobs.append((path, label))
+        return original_job(path, label, config)
+
+    monkeypatch.setattr(bench, "parse_dimacs_file", counting_parse)
+    monkeypatch.setattr(bench, "run_instance", counting_job)
+    rows = run_suite(paths, configs)
+    assert parses == paths
+    # Every job still goes through the module's run_instance, where callers
+    # such as the benchmark's model re-check wrap it.
+    assert sorted(jobs) == sorted((p, label) for p in paths for label, _ in configs)
+    assert bench._current_file is None
+    untimed = lambda r: replace(r, time_s=0.0)
+    assert [untimed(r) for r in rows] == [untimed(r) for r in expected]
+
+
+def test_a_file_rewritten_to_the_same_size_is_read_again(tmp_path):
+    path = _write(tmp_path, "twin.cnf", SAT_TWIN)
+    assert len(SAT_TWIN) == len(UNSAT_TWIN)
+    stat = os.stat(path)
+
+    def rewrite(text):
+        with open(path, "w") as fh:
+            fh.write(text)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+
+    configs = [("d", SolverConfig())]
+    assert run_suite([path], configs)[0].verdict == "SAT"
+    rewrite(UNSAT_TWIN)
+    assert run_suite([path], configs)[0].verdict == "UNSAT"
+    rewrite(SAT_TWIN)
+    assert run_instance(path, "d", SolverConfig()).verdict == "SAT"
+    rewrite(UNSAT_TWIN)
+    assert run_instance(path, "d", SolverConfig()).verdict == "UNSAT"
+
+
+@pytest.mark.parametrize("enabled_before", [True, False])
+@pytest.mark.parametrize("job", ["solved", "error", "timeout"])
+def test_run_instance_pauses_the_collector_and_restores_its_state(
+    tmp_path, monkeypatch, enabled_before, job
+):
+    if job == "solved":
+        path, config = _write(tmp_path, "s.cnf", SAT_TEXT), SolverConfig()
+    elif job == "error":
+        path, config = _write(tmp_path, "e.cnf", "p cnf oops\n"), SolverConfig()
+    else:
+        path = _write(tmp_path, "t.cnf", write_dimacs(pigeonhole(8, 7)))
+        config = SolverConfig(time_limit_seconds=0.05)
+    during = []
+    original = bench.solve_formula
+
+    def recording_solve(formula, config=None):
+        during.append(gc.isenabled())
+        return original(formula, config)
+
+    monkeypatch.setattr(bench, "solve_formula", recording_solve)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled_before else gc.disable()
+        r = run_instance(path, "d", config)
+        assert gc.isenabled() is enabled_before
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert r.verdict == {"solved": "SAT", "error": "ERROR", "timeout": "UNKNOWN"}[job]
+    assert during == ([] if job == "error" else [False])
 
 
 def test_run_suite_applies_time_limit(tmp_path):
