@@ -8,13 +8,11 @@ score is the mean over all instances.
 from __future__ import annotations
 
 import csv
-import gc
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from glob import glob
 from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .dimacs import parse_dimacs_file
 from .engine import solve_formula
@@ -80,40 +78,23 @@ def par2_score(records: Sequence[RunRecord], time_limit: float) -> float:
 _current_file: Optional[Tuple[str, Optional[Formula]]] = None
 
 
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Pause the cyclic collector, restoring the caller's state after.
-
-    A job's clauses and their literal lists form no cycles, so reference
-    counting frees them; collections during a job would only rescan them.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def run_instance(path: str, label: str, config: SolverConfig) -> RunRecord:
     """Solve one DIMACS file; failures become an ERROR record, not a crash.
 
-    The job (parse, construction, search, model check) runs with the cyclic
-    collector paused.  Called on its own, it always parses the file; inside
-    `run_suite` it reuses the formula `_run_file` parsed for all of the
-    file's configurations.
+    Called on its own, it always parses the file; inside `run_suite` it
+    reuses the formula `_run_file` parsed for all of the file's
+    configurations.  Parsing, construction and search pause the cyclic
+    collector themselves (see `model._collector_paused`).
     """
     name = os.path.basename(path)
     try:
-        with _collector_paused():
-            if _current_file is not None and _current_file[0] == path:
-                formula = _current_file[1]
-                if formula is None:
-                    raise ValueError(f"{path} did not parse")
-            else:
-                formula, _ = parse_dimacs_file(path)
-            result = solve_formula(formula, config)
+        if _current_file is not None and _current_file[0] == path:
+            formula = _current_file[1]
+            if formula is None:
+                raise ValueError(f"{path} did not parse")
+        else:
+            formula, _ = parse_dimacs_file(path)
+        result = solve_formula(formula, config)
     except Exception:
         return RunRecord(name, label, "ERROR", 0.0, timed_out=False)
     stats = result.stats
@@ -133,8 +114,7 @@ def _run_file(
     """Every configuration's `run_instance` job on one file, parsed once."""
     global _current_file
     try:
-        with _collector_paused():
-            formula: Optional[Formula] = parse_dimacs_file(path)[0]
+        formula: Optional[Formula] = parse_dimacs_file(path)[0]
     except Exception:
         formula = None
     _current_file = (path, formula)
@@ -168,11 +148,12 @@ def run_suite(
     """Run every configuration on every instance.
 
     Jobs are grouped per file: each file is parsed once per suite and its
-    formula serves all of its configurations, and each job runs with the
-    cyclic collector paused (see `run_instance`).  Rows come back sorted by
-    (instance, configLabel) regardless of worker scheduling, so suite
-    output is stable and counters are deterministic.  With workers > 1 the
-    files run in up to that many spawned processes, one task per file.
+    formula serves all of its configurations.  The library calls a job makes
+    (parse, construction, search) pause the cyclic collector themselves.
+    Rows come back sorted by (instance, configLabel) regardless of worker
+    scheduling, so suite output is stable and counters are deterministic.
+    With workers > 1 the files run in up to that many spawned processes,
+    one task per file.
     """
     paths = discover_instances(instances)
     if not configs:

@@ -91,10 +91,10 @@ def _read(path: str, parse: Callable[[str], _T], parser: argparse.ArgumentParser
 
 
 def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    config = _build_config(args, parser)
     formula, warnings = _read(args.cnf, parse_dimacs, parser)
     for lineno, message in warnings:
         print(f"c warning: line {lineno}: {message}", file=sys.stderr)
-    config = _build_config(args, parser)
     result = solve_formula(formula, config)
     for name, value in result.stats.counter_items():
         print(f"c stat {name}={value}")
@@ -147,8 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--label", help="configLabel for the CSV (default: preset or 'custom')")
     p_bench.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes; jobs are grouped per file, each file is parsed "
-        "once per suite, and the cyclic collector is paused during a job",
+        help="worker processes; jobs are grouped per file and each file is "
+        "parsed once per suite (parsing, construction and search pause the "
+        "cyclic collector themselves)",
     )
     _add_config_flags(p_bench)
 

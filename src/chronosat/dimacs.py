@@ -28,7 +28,7 @@ from .model import (
     Formula,
     SolveResult,
     Verdict,
-    lit_from_dimacs,
+    _collector_paused,
     lit_to_dimacs,
     make_clause,
 )
@@ -47,6 +47,7 @@ class DimacsError(ValueError):
         self.line = line
 
 
+@_collector_paused
 def parse_dimacs(
     text: Union[str, bytes]
 ) -> Tuple[Formula, List[Tuple[int, str]]]:
@@ -57,7 +58,8 @@ def parse_dimacs(
     reads them, so '+1' and '01' are literal 1 and '-0' ends a clause.
     Tautological clauses are dropped with a warning; duplicate literals
     within a clause are merged.  An explicit empty clause is kept (the
-    formula is trivially UNSAT).
+    formula is trivially UNSAT).  The cyclic collector is paused,
+    process-wide, for the duration of the call.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
@@ -106,7 +108,7 @@ def parse_dimacs(
         elif abs(n) > nvars:
             bad[tok] = f"literal {n} exceeds declared variable count {nvars}"
         else:
-            lit_of[tok] = lit_from_dimacs(n)
+            lit_of[tok] = 2 * n - 2 if n > 0 else -2 * n - 1
     if bad:
         for lineno, line in zip(_body_linenos(lines, header_line, body), body):
             for tok in line.split():

@@ -44,6 +44,7 @@ from .model import (
     SolverConfig,
     SolverStats,
     Verdict,
+    _collector_paused,
     lit_to_dimacs,
 )
 from .phase import PhaseSelector
@@ -131,7 +132,11 @@ class Clause:
 class Solver:
     """One-shot solver for a fixed formula.  Create, call solve(), discard."""
 
+    @_collector_paused
     def __init__(self, formula: Formula, config: Optional[SolverConfig] = None):
+        """Copy the formula's clauses, attach their watchers and assign its
+        units.  The cyclic collector is paused, process-wide, for the
+        duration of the call."""
         self.formula = formula
         self.config = config or SolverConfig()
         n = formula.variable_count
@@ -588,7 +593,11 @@ class Solver:
 
     # -- main loop -------------------------------------------------------------
 
+    @_collector_paused
     def solve(self) -> SolveResult:
+        """Search, check a SAT model against the formula and return the
+        result.  The cyclic collector is paused, process-wide, for the
+        duration of the call."""
         start = time.monotonic()
         limit = self.config.time_limit_seconds
         verdict = self._search(None if limit is None else start + limit)

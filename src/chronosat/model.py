@@ -10,9 +10,38 @@ clause is a plain tuple of literals.
 from __future__ import annotations
 
 import enum
+import functools
+import gc
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, TypeVar
+
+_T = TypeVar("_T")
+
+
+def _collector_paused(func: Callable[..., _T]) -> Callable[..., _T]:
+    """Decorate func to run with the cyclic collector paused, process-wide,
+    for the call's duration; the caller's state is restored after, also
+    when func raises.
+
+    Parsing, solver construction and search allocate clauses and literal
+    lists that form no cycles, so reference counting frees them; collections
+    during those calls would only rescan them.  The wrapper allocates
+    nothing once it has re-enabled the collector, so no collection starts
+    while it still holds the call's arguments and result.
+    """
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 def make_literal(var: int, positive: bool) -> int:

@@ -4,6 +4,7 @@ Every test named ``test_criterion_<N>_*`` in test_acceptance.py is tracked
 here, and the terminal summary ends with one PASS/FAIL line per criterion.
 """
 
+import gc
 import os
 import re
 
@@ -42,6 +43,31 @@ def pack_dir():
             "scripts/make_bench_pack.py"
         )
     return path
+
+
+@pytest.fixture
+def gc_probe(monkeypatch):
+    """Collector-state probes, with the caller's state restored after.
+
+    ``gc_probe(owner, name)`` replaces ``owner.name`` with a wrapper that
+    appends ``gc.isenabled()`` to a list on each call, then calls through;
+    it returns that list.
+    """
+    enabled = gc.isenabled()
+
+    def probe(owner, name):
+        readings = []
+        original = getattr(owner, name)
+
+        def recording(*args, **kwargs):
+            readings.append(gc.isenabled())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recording)
+        return readings
+
+    yield probe
+    gc.enable() if enabled else gc.disable()
 
 
 def pytest_runtest_logreport(report):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from chronosat import bench
+from chronosat import bench, dimacs, engine
 from chronosat.bench import (
     COUNTER_NAMES,
     CSV_HEADER,
@@ -276,32 +276,29 @@ def test_a_file_rewritten_to_the_same_size_is_read_again(tmp_path):
 @pytest.mark.parametrize("enabled_before", [True, False])
 @pytest.mark.parametrize("job", ["solved", "error", "timeout"])
 def test_run_instance_pauses_the_collector_and_restores_its_state(
-    tmp_path, monkeypatch, enabled_before, job
+    tmp_path, gc_probe, enabled_before, job
 ):
     if job == "solved":
         path, config = _write(tmp_path, "s.cnf", SAT_TEXT), SolverConfig()
     elif job == "error":
-        path, config = _write(tmp_path, "e.cnf", "p cnf oops\n"), SolverConfig()
+        # The bad token is reported from inside the parse, after the header.
+        path = _write(tmp_path, "e.cnf", "p cnf 2 1\n1 oops 0\n")
+        config = SolverConfig()
     else:
         path = _write(tmp_path, "t.cnf", write_dimacs(pigeonhole(8, 7)))
         config = SolverConfig(time_limit_seconds=0.05)
-    during = []
-    original = bench.solve_formula
-
-    def recording_solve(formula, config=None):
-        during.append(gc.isenabled())
-        return original(formula, config)
-
-    monkeypatch.setattr(bench, "solve_formula", recording_solve)
-    was_enabled = gc.isenabled()
-    try:
-        gc.enable() if enabled_before else gc.disable()
-        r = run_instance(path, "d", config)
-        assert gc.isenabled() is enabled_before
-    finally:
-        gc.enable() if was_enabled else gc.disable()
+    # Probes inside parsing (its last step, or its bad-token report),
+    # construction and search: each library call pauses the collector.
+    parse = gc_probe(dimacs, "Formula")
+    parse_error = gc_probe(dimacs, "_body_linenos")
+    construction = gc_probe(engine, "PhaseSelector")
+    search = gc_probe(engine.Solver, "_search")
+    gc.enable() if enabled_before else gc.disable()
+    r = run_instance(path, "d", config)
+    assert gc.isenabled() is enabled_before
     assert r.verdict == {"solved": "SAT", "error": "ERROR", "timeout": "UNKNOWN"}[job]
-    assert during == ([] if job == "error" else [False])
+    assert parse + parse_error == [False]
+    assert construction == search == ([] if job == "error" else [False])
 
 
 def test_run_suite_applies_time_limit(tmp_path):

@@ -90,6 +90,16 @@ def test_non_finite_time_limit_exits_two(tmp_path, capsys, command, limit):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_bad_config_exits_two_before_reading_the_cnf(tmp_path, capsys):
+    path = write(tmp_path, "t.cnf", "p cnf 2 2\n1 -1 0\n2 0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", path, "--time-limit", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "finite and positive" in err
+    assert not any(line.startswith("c warning") for line in err.splitlines())
+
+
 def test_parser_warnings_go_to_stderr(tmp_path, capsys):
     text = "p cnf 2 5\n1 2 0\n-1 0\n"  # declared 5 clauses, provided 2
     rc = main(["solve", write(tmp_path, "w.cnf", text)])

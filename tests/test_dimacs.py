@@ -28,6 +28,11 @@ def test_parse_basic():
     assert warnings == []
 
 
+def test_parse_encodes_the_extreme_literals():
+    f, _ = parse_dimacs("p cnf 5 2\n1 -5 0\n-1 5 0\n")
+    assert f.clauses == [(0, 9), (1, 8)]
+
+
 def test_parse_accepts_bytes_and_crlf():
     f, _ = parse_dimacs(b"c hi\r\np cnf 2 1\r\n1 2 0\r\n")
     assert clause_ints(f) == [[1, 2]]

@@ -1,7 +1,10 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
-from chronosat import engine
+from chronosat import dimacs, engine
+from chronosat.dimacs import DimacsError, parse_dimacs
 from chronosat.model import (
     Formula,
     PhaseHeuristic,
@@ -156,3 +159,44 @@ def test_solve_result_requires_model_only_for_sat():
         SolveResult(Verdict.UNSAT, model=[True])
     r = SolveResult(Verdict.SAT, model=[True, False])
     assert r.model == [True, False]
+
+
+# -- the collector pause -----------------------------------------------------------
+
+
+def test_library_calls_pause_the_collector_for_direct_callers(gc_probe):
+    parse = gc_probe(dimacs, "Formula")
+    construction = gc_probe(engine, "PhaseSelector")
+    search = gc_probe(engine.Solver, "_search")
+    gc.enable()
+    formula, _ = parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n")
+    assert gc.isenabled()
+    solver = engine.Solver(formula)
+    assert gc.isenabled()
+    assert solver.solve().verdict is Verdict.SAT
+    assert gc.isenabled()
+    assert parse == construction == search == [False]
+
+
+@pytest.mark.parametrize("enabled_before", [True, False])
+def test_parse_error_restores_the_collector_state(gc_probe, enabled_before):
+    report = gc_probe(dimacs, "_body_linenos")
+    gc.enable() if enabled_before else gc.disable()
+    with pytest.raises(DimacsError, match="line 2: invalid token 'oops'"):
+        parse_dimacs("p cnf 2 1\n1 oops 0\n")
+    assert gc.isenabled() is enabled_before
+    assert report == [False]
+
+
+@pytest.mark.parametrize("enabled_before", [True, False])
+def test_failed_model_check_restores_the_collector_state(
+    gc_probe, monkeypatch, enabled_before
+):
+    monkeypatch.setattr(engine, "check_model", lambda formula, model: False)
+    check = gc_probe(engine, "check_model")
+    solver = engine.Solver(Formula(1, [(0,)]))
+    gc.enable() if enabled_before else gc.disable()
+    with pytest.raises(RuntimeError, match="produced model fails a clause"):
+        solver.solve()
+    assert gc.isenabled() is enabled_before
+    assert check == [False]
