@@ -51,7 +51,7 @@ def main(argv=None):
     kept = {Verdict.SAT: 0, Verdict.UNSAT: 0}
     prefix = {Verdict.SAT: "sat", Verdict.UNSAT: "unsat"}
     candidate = 0
-    while min(kept.values()) < args.count_per_class or max(kept.values()) < args.count_per_class:
+    while min(kept.values()) < args.count_per_class:
         seed = args.master_seed + candidate
         candidate += 1
         try:

@@ -24,6 +24,8 @@ CSV_HEADER = [
 ]
 
 _SOLVED_VERDICTS = ("SAT", "UNSAT")
+_CSV_VERDICTS = (*_SOLVED_VERDICTS, "UNKNOWN", "ERROR")
+_CSV_FLAGS = {"true": True, "false": False}
 
 
 @dataclass
@@ -196,22 +198,28 @@ def read_csv(path: str) -> List[RunRecord]:
         if header is None:
             raise ValueError(f"{path}: empty file, expected the CSV header")
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {header}")
+            raise ValueError(f"{path}: line 1: unexpected CSV header: {header}")
         for row in reader:
+            where = f"{path}: line {reader.line_num}"
             if len(row) != len(CSV_HEADER):
                 raise ValueError(
-                    f"{path}: line {reader.line_num}: expected "
-                    f"{len(CSV_HEADER)} fields, got {len(row)}"
+                    f"{where}: expected {len(CSV_HEADER)} fields, got {len(row)}"
                 )
             instance, label, verdict, time_s, timed_out, *counters = row
+            if verdict not in _CSV_VERDICTS:
+                raise ValueError(f"{where}: unknown verdict {verdict!r}")
+            if timed_out not in _CSV_FLAGS:
+                raise ValueError(
+                    f"{where}: timed_out is {timed_out!r}, expected 'true' or 'false'"
+                )
+            try:
+                seconds = float(time_s)
+                counts = dict(zip(COUNTER_NAMES, map(int, counters)))
+            except ValueError as err:
+                raise ValueError(f"{where}: non-numeric field: {err}") from None
             records.append(
                 RunRecord(
-                    instance,
-                    label,
-                    verdict,
-                    float(time_s),
-                    timed_out == "true",
-                    **dict(zip(COUNTER_NAMES, map(int, counters))),
+                    instance, label, verdict, seconds, _CSV_FLAGS[timed_out], **counts
                 )
             )
     return records

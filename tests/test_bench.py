@@ -112,19 +112,42 @@ def test_csv_roundtrip(tmp_path):
     assert back[0].time_s == pytest.approx(0.25)
 
 
-@pytest.mark.parametrize("width", [7, len(CSV_HEADER) + 1])
-def test_read_csv_rejects_rows_of_the_wrong_width(tmp_path, width):
-    good = rec(instance="x.cnf").as_csv_row()
-    bad = (good * 2)[:width]
-    path = str(tmp_path / "ragged.csv")
+def _read_csv_error(tmp_path, bad):
+    """The message read_csv raises on a file whose third line is `bad`."""
+    path = str(tmp_path / "bad.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        writer.writerow(good)
+        writer.writerow(rec(instance="x.cnf").as_csv_row())
         writer.writerow(bad)
     with pytest.raises(ValueError) as exc:
         read_csv(path)
-    assert f"line 3: expected {len(CSV_HEADER)} fields, got {width}" in str(exc.value)
+    assert str(exc.value).startswith(f"{path}: line 3: ")
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("width", [7, len(CSV_HEADER) + 1])
+def test_read_csv_rejects_rows_of_the_wrong_width(tmp_path, width):
+    bad = (rec(instance="x.cnf").as_csv_row() * 2)[:width]
+    message = _read_csv_error(tmp_path, bad)
+    assert f"line 3: expected {len(CSV_HEADER)} fields, got {width}" in message
+
+
+@pytest.mark.parametrize(
+    "column, value, expected",
+    [
+        (2, "MAYBE", "unknown verdict 'MAYBE'"),
+        (4, "yes", "timed_out is 'yes'"),
+        (3, "abc", "non-numeric field"),
+        (5, "abc", "non-numeric field"),
+        (len(CSV_HEADER) - 1, "1.5", "non-numeric field"),
+    ],
+    ids=["verdict", "timed_out", "time_s", "first-counter", "last-counter"],
+)
+def test_read_csv_rejects_a_malformed_field(tmp_path, column, value, expected):
+    bad = rec(instance="x.cnf").as_csv_row()
+    bad[column] = value
+    assert expected in _read_csv_error(tmp_path, bad)
 
 
 def test_read_csv_rejects_an_empty_file_naming_it(tmp_path):
@@ -139,7 +162,7 @@ def test_read_csv_rejects_foreign_header(tmp_path):
     path = str(tmp_path / "bad.csv")
     with open(path, "w") as fh:
         fh.write("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="line 1: unexpected CSV header"):
         read_csv(path)
 
 

@@ -116,16 +116,32 @@ def test_brute_force_enforces_variable_cap():
         brute_force_solve(Formula(BRUTE_FORCE_VAR_CAP + 1, []))
 
 
-def test_brute_force_chunked_path_agrees():
-    # 21 variables exceeds one enumeration chunk (2^20); craft a formula
-    # whose only model sets the last variable True so the hit lands in the
-    # second chunk.
-    n = 21
-    clauses = [[-(v + 1)] for v in range(n - 1)] + [[n]]
-    f = fml(n, clauses)
+@pytest.mark.parametrize("n", [17, 21])
+@pytest.mark.parametrize(
+    "true_vars",
+    [
+        pytest.param(lambda n: [0], id="first-true"),
+        pytest.param(lambda n: [n - 1], id="last-true"),
+        pytest.param(range, id="all-true"),
+    ],
+)
+def test_brute_force_finds_the_single_model_in_any_block(n, true_vars):
+    # Past 16 variables the first n - 16 pick the block: the last-true model
+    # lies in the first block, first-true in a later one, all-true in the
+    # last one.
+    model = [False] * n
+    for v in true_vars(n):
+        model[v] = True
+    f = Formula(n, [(make_literal(v, value),) for v, value in enumerate(model)])
     r = brute_force_solve(f)
     assert r.verdict is Verdict.SAT
-    assert r.model == [False] * (n - 1) + [True]
+    assert r.model == model
+
+
+def test_brute_force_unsat_at_the_variable_cap():
+    f = random_ksat(BRUTE_FORCE_VAR_CAP, ratio=6.0, seed=26)
+    assert brute_force_solve(f).verdict is Verdict.UNSAT
+    assert solve_formula(f).verdict is Verdict.UNSAT
 
 
 def _reference_enumerate(f):
@@ -136,12 +152,29 @@ def _reference_enumerate(f):
     return None
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_brute_force_matches_plain_enumeration(seed):
+def _direct_formula(rng):
+    """n = 0..8 without make_clause: repeated and complementary literals
+    and, now and then, an empty clause."""
+    n = rng.randint(0, 8)
+    clauses = []
+    for _ in range(rng.randint(0, 3 * n + 1)):
+        size = 0 if n == 0 or rng.random() < 0.05 else rng.randint(1, 4)
+        lits = [make_literal(rng.randrange(n), rng.random() < 0.5) for _ in range(size)]
+        if lits and rng.random() < 0.3:
+            lits.append(rng.choice(lits) ^ rng.randint(0, 1))
+        clauses.append(tuple(lits))
+    return Formula(n, clauses)
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_brute_force_matches_plain_enumeration(seed, direct):
     rng = random.Random(seed)
-    n = rng.randint(3, 8)
-    f = random_ksat(n, n_clauses=rng.randint(1, 4 * n), rng=rng)
+    if direct:
+        f = _direct_formula(rng)
+    else:
+        n = rng.randint(3, 8)
+        f = random_ksat(n, n_clauses=rng.randint(1, 4 * n), rng=rng)
     expected = _reference_enumerate(f)
     got = brute_force_solve(f)
     if expected is None:
@@ -165,9 +198,19 @@ def test_pigeonhole_is_unsat_by_enumeration():
     assert brute_force_solve(pigeonhole(3, 2)).verdict is Verdict.UNSAT
 
 
-def test_solver_import_does_not_load_numpy():
-    # numpy is a test-only dependency of the brute-force oracle.
+def test_solver_and_referee_load_only_the_standard_library():
+    # Modules loaded at interpreter start-up (site hooks) are not ours, so
+    # only those the imports and the referee call add are checked.
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(chronosat.__file__)))
     env = dict(os.environ, PYTHONPATH=src_dir)
-    code = "import sys, chronosat, chronosat.cli; assert 'numpy' not in sys.modules"
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import chronosat, chronosat.cli\n"
+        "from chronosat.gen import pigeonhole\n"
+        "chronosat.brute_force_solve(pigeonhole(3, 2))\n"
+        "tops = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "foreign = tops - set(sys.stdlib_module_names) - {'chronosat'}\n"
+        "assert not foreign, sorted(foreign)\n"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
