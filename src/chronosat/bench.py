@@ -9,14 +9,21 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from glob import glob
 from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from . import engine
 from .dimacs import parse_dimacs_file
-from .engine import solve_formula
-from .model import Formula, SolverConfig, SolverStats, Verdict
+from .model import (
+    Formula,
+    PhaseHeuristic,
+    SolveResult,
+    SolverConfig,
+    SolverStats,
+    Verdict,
+)
 
 COUNTER_NAMES = [name for name, _ in SolverStats().counter_items()]
 CSV_HEADER = [
@@ -73,25 +80,88 @@ def par2_score(records: Sequence[RunRecord], time_limit: float) -> float:
     return total / len(records)
 
 
-# (path, formula) of the file whose jobs `_run_file` is running, with None
-# for a file that did not parse; None between files.  `run_instance` keeps
-# its (path, label, config) signature because callers wrap it by attribute,
-# so the parsed formula reaches it here and never outlives its file's jobs.
-_current_file: Optional[Tuple[str, Optional[Formula]]] = None
+def search_key(config: SolverConfig) -> tuple:
+    """Values of the config fields that its search reads before its first
+    decision in CB state (one made while the last backtrack was
+    chronological).
+
+    Only such a decision reads cb_phase_heuristic.  The RNG is drawn, and
+    the DPS and LSIDS state read, only by their own heuristic, so
+    random_seed and dps_decay count only when the ncb heuristic uses them.
+    Two configurations with one key search identically up to that decision,
+    and to the end when there is none.
+    """
+    ncb = config.ncb_phase_heuristic
+    skip = {"cb_phase_heuristic"}
+    if ncb is not PhaseHeuristic.RANDOM:
+        skip.add("random_seed")
+    if ncb is not PhaseHeuristic.DPS:
+        skip.add("dps_decay")
+    return tuple(
+        getattr(config, f.name) for f in fields(config) if f.name not in skip
+    )
+
+
+@dataclass
+class _FileJobs:
+    """The file whose jobs `_run_file` is running.
+
+    formula is None for a file that did not parse.  job is the (config,
+    search key) of the job running now; searches maps a search key to a
+    SAT or UNSAT result of this file that made no decision in CB state.
+    """
+
+    path: str
+    formula: Optional[Formula]
+    job: Optional[Tuple[SolverConfig, tuple]] = None
+    searches: Dict[tuple, SolveResult] = field(default_factory=dict)
+
+
+# Set by `_run_file` for its file's jobs, None between files.  `run_instance`
+# and `solve_formula` keep their signatures because callers wrap them by
+# attribute, so the parsed formula and the file's shared searches reach them
+# here and never outlive the file's jobs.
+_current_file: Optional[_FileJobs] = None
+
+
+def solve_formula(formula: Formula, config: SolverConfig) -> SolveResult:
+    """`engine.solve_formula`, sharing searches between a file's jobs.
+
+    Inside `_run_file`, a job whose search key (see `search_key`) equals an
+    earlier job's gets a copy of that job's result (verdict, model and
+    stats, wall time included) when that search ended SAT or UNSAT without
+    a decision in CB state: the two searches are the same search.  Any
+    other call solves.
+    """
+    jobs = _current_file
+    job = None if jobs is None or formula is not jobs.formula else jobs.job
+    if job is None or config is not job[0]:
+        return engine.solve_formula(formula, config)
+    key = job[1]
+    shared = jobs.searches.get(key)
+    if shared is not None:
+        model = None if shared.model is None else list(shared.model)
+        return SolveResult(shared.verdict, model, replace(shared.stats))
+    result = engine.solve_formula(formula, config)
+    if result.verdict is not Verdict.UNKNOWN and result.stats.cb_state_decisions == 0:
+        jobs.searches[key] = result
+    return result
 
 
 def run_instance(path: str, label: str, config: SolverConfig) -> RunRecord:
     """Solve one DIMACS file; failures become an ERROR record, not a crash.
 
-    Called on its own, it always parses the file; inside `run_suite` it
-    reuses the formula `_run_file` parsed for all of the file's
-    configurations.  Parsing, construction and search pause the cyclic
-    collector themselves (see `model._collector_paused`).
+    Called on its own, it always parses and solves the file.  Inside
+    `run_suite` it reuses the formula `_run_file` parsed for all of the
+    file's configurations, and its `solve_formula` call may return a copy
+    of an earlier configuration's identical search, whose time_s it then
+    reports.  Parsing, construction and search pause the cyclic collector
+    themselves (see `model._collector_paused`).
     """
     name = os.path.basename(path)
     try:
-        if _current_file is not None and _current_file[0] == path:
-            formula = _current_file[1]
+        if _current_file is not None and _current_file.path == path:
+            formula = _current_file.formula
             if formula is None:
                 raise ValueError(f"{path} did not parse")
         else:
@@ -111,17 +181,22 @@ def run_instance(path: str, label: str, config: SolverConfig) -> RunRecord:
 
 
 def _run_file(
-    path: str, configs: Sequence[Tuple[str, SolverConfig]]
+    path: str, configs: Sequence[Tuple[str, SolverConfig, tuple]]
 ) -> List[RunRecord]:
-    """Every configuration's `run_instance` job on one file, parsed once."""
+    """Every (label, config, search key) `run_instance` job on one file,
+    parsed once; jobs with one search key may share a search."""
     global _current_file
     try:
         formula: Optional[Formula] = parse_dimacs_file(path)[0]
     except Exception:
         formula = None
-    _current_file = (path, formula)
+    jobs = _current_file = _FileJobs(path, formula)
     try:
-        return [run_instance(path, label, config) for label, config in configs]
+        records = []
+        for label, config, key in configs:
+            jobs.job = (config, key)
+            records.append(run_instance(path, label, config))
+        return records
     finally:
         _current_file = None
 
@@ -150,7 +225,15 @@ def run_suite(
     """Run every configuration on every instance.
 
     Jobs are grouped per file: each file is parsed once per suite and its
-    formula serves all of its configurations.  The library calls a job makes
+    formula serves all of its configurations.  Configurations that differ
+    only in what a search reads at its first decision in CB state (the cb
+    heuristic, and the RNG seed or DPS decay when only it uses them; see
+    `search_key`) share a search: when a file's search under one of them
+    ends SAT or UNSAT without a CB-state decision, every later one takes a
+    copy of its result, time_s included, as it would have made the same
+    search.  Timeouts, errors and searches with a CB-state decision are
+    never shared.  Every job still runs through `run_instance` and
+    `solve_formula`.  The library calls a job makes
     (parse, construction, search) pause the cyclic collector themselves.
     Rows come back sorted by (instance, configLabel) regardless of worker
     scheduling, so suite output is stable and counters are deterministic.
@@ -169,6 +252,7 @@ def run_suite(
         configs = [
             (label, replace(cfg, time_limit_seconds=time_limit)) for label, cfg in configs
         ]
+    configs = [(label, cfg, search_key(cfg)) for label, cfg in configs]
     if workers == 1:
         per_file = [_run_file(path, configs) for path in paths]
     else:

@@ -186,7 +186,9 @@ class SolverStats:
     Counters are reproducible for a fixed (formula, config, seed); wall time
     is not.  lsids_decisions counts decisions where the LSIDS heuristic chose
     the phase; lsids_differs_from_saved counts the subset whose choice
-    disagreed with the saved phase.
+    disagreed with the saved phase.  cb_state_decisions counts decisions
+    made while the last backtrack was chronological, the only ones the cb
+    heuristic decides; it is not one of the reported counters.
     """
 
     conflicts: int = 0
@@ -197,6 +199,7 @@ class SolverStats:
     ncb_backtracks: int = 0
     lsids_decisions: int = 0
     lsids_differs_from_saved: int = 0
+    cb_state_decisions: int = 0
     wall_time_seconds: float = 0.0
 
     def counter_items(self):

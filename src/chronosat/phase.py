@@ -112,17 +112,18 @@ class PhaseSelector:
     # -- decision-time phase choice ----------------------------------------
 
     def select_phase(self, var: int, in_cb_state: bool) -> bool:
-        """Phase for a fresh decision on var, recording LSIDS usage stats.
+        """Phase for a fresh decision on var, recording CB-state and LSIDS
+        usage stats.
 
         The active heuristic depends on the solver's backtrack mode: the
         cb heuristic applies while the last backtrack was chronological,
         the ncb heuristic otherwise.
         """
-        heuristic = (
-            self.config.cb_phase_heuristic
-            if in_cb_state
-            else self.config.ncb_phase_heuristic
-        )
+        if in_cb_state:
+            self.stats.cb_state_decisions += 1
+            heuristic = self.config.cb_phase_heuristic
+        else:
+            heuristic = self.config.ncb_phase_heuristic
         if heuristic is PhaseHeuristic.SAVED:
             return self.saved[var]
         if heuristic is PhaseHeuristic.LSIDS:

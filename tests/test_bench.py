@@ -20,16 +20,34 @@ from chronosat.bench import (
     scatter_points,
     write_csv,
 )
+from chronosat.cli import PRESETS
 from chronosat.dimacs import parse_dimacs_file, write_dimacs
 from chronosat.engine import solve_formula
-from chronosat.gen import pigeonhole
-from chronosat.model import SolverConfig
+from chronosat.gen import pigeonhole, random_ksat
+from chronosat.model import PhaseHeuristic, SolverConfig
 
 SAT_TEXT = "p cnf 2 2\n1 2 0\n-1 0\n"
 UNSAT_TEXT = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
 # Two texts of the same length with different verdicts.
 SAT_TWIN = "p cnf 2 2\n1 0\n-2 0\n"
 UNSAT_TWIN = "p cnf 2 2\n1 0\n-1 0\n"
+
+
+def untimed(record):
+    return replace(record, time_s=0.0)
+
+
+def count_engine_solves(monkeypatch):
+    """Patch engine.solve_formula to log its calls; returns the log."""
+    calls = []
+    original = engine.solve_formula
+
+    def counting(formula, config=None):
+        calls.append(config)
+        return original(formula, config)
+
+    monkeypatch.setattr(engine, "solve_formula", counting)
+    return calls
 
 
 def rec(instance="i", label="a", verdict="SAT", time_s=1.0, timed_out=False, **kw):
@@ -272,7 +290,6 @@ def test_run_suite_parses_each_file_once_and_runs_every_job(tmp_path, pack_dir, 
     # such as the benchmark's model re-check wrap it.
     assert sorted(jobs) == sorted((p, label) for p in paths for label, _ in configs)
     assert bench._current_file is None
-    untimed = lambda r: replace(r, time_s=0.0)
     assert [untimed(r) for r in rows] == [untimed(r) for r in expected]
 
 
@@ -324,12 +341,16 @@ def test_run_instance_pauses_the_collector_and_restores_its_state(
     assert construction == search == ([] if job == "error" else [False])
 
 
-def test_run_suite_applies_time_limit(tmp_path):
+def test_run_suite_applies_time_limit(tmp_path, monkeypatch):
     hard = tmp_path / "hard.cnf"
     hard.write_text(write_dimacs(pigeonhole(8, 7)))
-    rows = run_suite([str(hard)], [("d", SolverConfig())], time_limit=0.05)
-    assert rows[0].verdict == "UNKNOWN"
-    assert rows[0].timed_out is True
+    # The two configs have one search key, but a timed-out search is never
+    # shared: its counters depend on the clock.
+    configs = [("d", SolverConfig()), ("s", SolverConfig(cb_phase_heuristic="saved"))]
+    solves = count_engine_solves(monkeypatch)
+    rows = run_suite([str(hard)], configs, time_limit=0.05)
+    assert len(solves) == 2
+    assert [(r.verdict, r.timed_out) for r in rows] == [("UNKNOWN", True)] * 2
 
 
 def test_run_suite_validation(tmp_path):
@@ -346,7 +367,7 @@ def test_run_suite_validation(tmp_path):
         discover_instances([])
 
 
-def test_worker_count_does_not_change_results(tmp_path):
+def test_worker_count_does_not_change_results(tmp_path, pack_dir):
     for k in range(4):
         text = SAT_TEXT if k % 2 == 0 else UNSAT_TEXT
         _write(tmp_path, f"i{k}.cnf", text)
@@ -355,6 +376,72 @@ def test_worker_count_does_not_change_results(tmp_path):
     threaded = run_suite(str(tmp_path), configs, workers=4)
     key = lambda r: (r.instance, r.config_label, r.verdict, r.conflicts, r.decisions)
     assert [key(r) for r in serial] == [key(r) for r in threaded]
+    # Both presets share each file's search, in worker processes too: the
+    # rows agree apart from time_s, and each file's two rows report one time.
+    paths = [
+        os.path.join(pack_dir, f"{kind}_00{i}.cnf") for kind in ("sat", "unsat") for i in range(2)
+    ]
+    presets = [(name, SolverConfig(**preset)) for name, preset in PRESETS.items()]
+    serial = run_suite(paths, presets, workers=1)
+    pooled = run_suite(paths, presets, workers=2)
+    assert [untimed(r) for r in serial] == [untimed(r) for r in pooled]
+    for rows in (serial, pooled):
+        assert [r.time_s for r in rows[::2]] == [r.time_s for r in rows[1::2]]
+
+
+# Every phase heuristic pair the sharing rule distinguishes, at cells where
+# CB never fires (T=100, C=4000), fires from the first conflict (T=0, C=0;
+# T=5, C=0) and fires after a warm-up (T=0, C=30), with two values of each
+# field the rule leaves out unless the ncb heuristic reads it.
+SHARING_GRID = [
+    (
+        f"{ncb}-{cb.value}-{seed}-T{t}-C{c}",
+        SolverConfig(
+            cb_threshold_t=t,
+            cb_min_conflicts_c=c,
+            ncb_phase_heuristic=ncb,
+            cb_phase_heuristic=cb,
+            random_seed=seed,
+            dps_decay=decay,
+        ),
+    )
+    for ncb in ("saved", "dps", "random")
+    for cb in PhaseHeuristic
+    for seed, decay in ((0, 0.7), (7, 0.9))
+    for t, c in ((100, 4000), (0, 0), (5, 0), (0, 30))
+]
+
+
+def test_shared_searches_give_the_rows_of_standalone_runs(tmp_path, pack_dir, monkeypatch):
+    paths = [os.path.join(pack_dir, name) for name in ("sat_000.cnf", "unsat_000.cnf")]
+    for n, seed in ((40, 1), (50, 2)):
+        text = write_dimacs(random_ksat(n, ratio=4.26, seed=seed))
+        paths.append(_write(tmp_path, f"ksat{n}.cnf", text))
+    expected = sorted(
+        (run_instance(path, label, cfg) for path in paths for label, cfg in SHARING_GRID),
+        key=lambda r: (r.instance, r.config_label),
+    )
+    solves = count_engine_solves(monkeypatch)
+    rows = run_suite(paths, SHARING_GRID)
+    assert [untimed(r) for r in rows] == [untimed(r) for r in expected]
+    # The grid shares searches, but not all of them.
+    assert len(SHARING_GRID) < len(solves) < len(rows)
+
+
+def test_a_search_is_shared_only_when_it_makes_no_cb_state_decision(pack_dir, monkeypatch):
+    paths = [os.path.join(pack_dir, f"{kind}_000.cnf") for kind in ("sat", "unsat")]
+    presets = [(name, SolverConfig(**preset)) for name, preset in PRESETS.items()]
+    solves = count_engine_solves(monkeypatch)
+    run_suite(paths, presets)
+    assert len(solves) == len(paths)
+    # At T=0, C=0 both searches decide in CB state, so each config solves.
+    cb_always = [
+        (name, replace(cfg, cb_threshold_t=0, cb_min_conflicts_c=0)) for name, cfg in presets
+    ]
+    solves.clear()
+    rows = run_suite(paths, cb_always)
+    assert len(solves) == len(rows) == 4
+    assert all(r.cb_backtracks > 0 for r in rows)
 
 
 # -- plot data --------------------------------------------------------------------

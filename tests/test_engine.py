@@ -1,10 +1,14 @@
+import glob
 import itertools
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chronosat import engine
+from chronosat.cli import PRESETS
+from chronosat.dimacs import parse_dimacs_file
 from chronosat.engine import Clause, Solver, luby, solve_formula
 from chronosat.gen import deep_conflict, pigeonhole, random_ksat
 from chronosat.model import (
@@ -14,7 +18,10 @@ from chronosat.model import (
     make_clause,
     make_literal,
 )
+from chronosat.phase import PhaseSelector
 from chronosat.verify import brute_force_solve, check_model
+
+from invariants import debug_check_watches
 
 
 def fml(nvars, clause_lists):
@@ -138,7 +145,7 @@ def test_binary_clause_satisfied_above_falsifier_implies_after_backtrack():
     assert s.level[1] == 2
     assert s.reason[1] is s.clauses[0]
     assert s.clauses[0].lits[0] == lit(2)
-    s.debug_check_watches()
+    debug_check_watches(s)
 
 
 def test_conflict_keeps_later_watchers_of_the_same_literal_in_order():
@@ -158,22 +165,22 @@ def test_conflict_keeps_later_watchers_of_the_same_literal_in_order():
     assert s._propagate() is None
     assert s.value[lit(2)] > 0 and s.value[lit(3)] > 0
     assert s.watches[lit(1)] == [confl_clause, lit(2), later, lit(3)]
-    s.debug_check_watches()
+    debug_check_watches(s)
 
 
 def test_debug_check_watches_rejects_a_broken_flat_layout():
     s = Solver(fml(3, [[1, 2], [2, 3]]))
-    s.debug_check_watches()
+    debug_check_watches(s)
     s.watches[lit(1)].append(lit(2))
     with pytest.raises(AssertionError, match="odd length"):
-        s.debug_check_watches()
+        debug_check_watches(s)
     s.watches[lit(1)][-1:] = [lit(2), lit(3)]
     with pytest.raises(AssertionError, match="holds"):
-        s.debug_check_watches()
+        debug_check_watches(s)
     del s.watches[lit(1)][-2:]
     s.watches[lit(1)][1] = lit(3)
     with pytest.raises(AssertionError, match="blocker"):
-        s.debug_check_watches()
+        debug_check_watches(s)
 
 
 def test_conflict_detected_on_fully_falsified_clause():
@@ -509,7 +516,7 @@ def test_reduce_db_keeps_low_lbd_and_locked_clauses():
     # 4 candidates -> worst half (2) dropped: the two with highest lbd
     assert id(victims[0]) in survivors and id(victims[1]) in survivors
     assert id(victims[2]) not in survivors and id(victims[3]) not in survivors
-    s.debug_check_watches()
+    debug_check_watches(s)
 
 
 def test_reduce_db_breaks_lbd_ties_by_activity():
@@ -658,7 +665,7 @@ def test_mixed_binary_ternary_verdicts_agree_with_brute_force(cfg):
         assert got.verdict is ref.verdict
         if got.verdict is Verdict.SAT:
             assert check_model(f, got.model)
-            s.debug_check_watches()
+            debug_check_watches(s)
 
 
 @settings(max_examples=40, deadline=None)
@@ -691,7 +698,7 @@ def test_watch_invariants_hold_after_solving():
         r = s.solve()
         if r.verdict is Verdict.SAT:
             # an UNSAT end state legitimately holds a falsified clause
-            s.debug_check_watches()
+            debug_check_watches(s)
 
 
 # -- trail inspection -----------------------------------------------------------
@@ -774,6 +781,46 @@ def test_formula_reuse_does_not_perturb_results():
     again = solve_formula(f, SolverConfig())
     assert first.verdict is again.verdict
     assert first.stats.counter_items() == again.stats.counter_items()
+
+
+# -- decisions made in CB state ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SolverConfig(),
+        SolverConfig(cb_threshold_t=0, cb_min_conflicts_c=0),
+        SolverConfig(cb_threshold_t=5, cb_min_conflicts_c=0, cb_phase_heuristic="random"),
+        SolverConfig(
+            cb_threshold_t=0, cb_min_conflicts_c=30, ncb_phase_heuristic="dps",
+            cb_phase_heuristic="saved",
+        ),
+    ],
+    ids=["default", "T0-C0", "T5-C0-random", "T0-C30-dps"],
+)
+def test_cb_state_decisions_counts_select_phase_calls_in_cb_state(monkeypatch, cfg):
+    in_cb_state = []
+    original = PhaseSelector.select_phase
+
+    def recording(self, var, cb_state):
+        in_cb_state.append(cb_state)
+        return original(self, var, cb_state)
+
+    monkeypatch.setattr(PhaseSelector, "select_phase", recording)
+    r = solve_formula(random_ksat(60, ratio=4.26, seed=4), cfg)
+    assert len(in_cb_state) == r.stats.decisions
+    assert r.stats.cb_state_decisions == sum(in_cb_state)
+    if cfg.cb_threshold_t == 0:
+        assert r.stats.cb_backtracks > 0 and r.stats.cb_state_decisions > 0
+
+
+def test_pack50_makes_no_cb_state_decision_under_either_preset(pack_dir):
+    for path in sorted(glob.glob(os.path.join(pack_dir, "*.cnf")))[::10]:
+        formula = parse_dimacs_file(path)[0]
+        for preset in PRESETS.values():
+            stats = solve_formula(formula, SolverConfig(**preset)).stats
+            assert stats.cb_backtracks == stats.cb_state_decisions == 0, path
 
 
 # Exact counters of five short solves.  A hot-path change that claims "same

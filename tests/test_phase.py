@@ -242,10 +242,12 @@ def test_rescore_never_changes_phase_choices():
 
 
 def test_dispatch_uses_mode_specific_heuristic():
-    sel, _ = selector(ncb_phase_heuristic="saved", cb_phase_heuristic="false")
+    sel, stats = selector(ncb_phase_heuristic="saved", cb_phase_heuristic="false")
     sel.on_assignment_erased(0, True)
     assert sel.select_phase(0, in_cb_state=False) is True
+    assert stats.cb_state_decisions == 0
     assert sel.select_phase(0, in_cb_state=True) is False
+    assert stats.cb_state_decisions == 1
 
 
 def test_state_kept_only_for_configured_heuristics():
