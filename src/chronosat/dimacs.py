@@ -6,22 +6,29 @@ terminator, malformed model) raise DimacsError with a 1-based line number.
 
 parse_dimacs reports the first error in file order, as a reader going
 token by token would meet it: a junk token or an out-of-range literal wins
-over a duplicate 'p' header on a later line, and of two bad tokens on one
-line the earlier wins, whichever kind it is.  A missing terminating 0 is
-reported only after the whole body has been read.  Warnings come in file
-order, each tautology at the line of its terminating 0, and the clause
-count mismatch last.
+over a duplicate 'p' header on a later line, nothing after a duplicate
+header is reported, and of two bad tokens on one line the earlier wins,
+whichever kind it is.  A missing terminating 0 is reported only after the
+whole body has been read.  Warnings come in file order, each tautology at
+the line of its terminating 0, and the clause count mismatch last.
 
 The clause body is tokenized in one pass: the data lines are joined and
 split once, each distinct token goes through int() once, and the token
-list is mapped to literals through that table.  Line numbers are worked
-out only for a report.
+list is mapped to literals through that table.  When every clause has one
+width k (every (k+1)-th literal is a terminator, and no others), the
+clauses are cut out by columns: the k strided slices of the literal tuple
+are zipped into rows, and a pairwise comparison of their variable columns
+finds a clause that repeats a variable.  Mixed widths, or any repeated
+variable, send the whole file through a clause-by-clause loop, which
+merges duplicates and drops tautologies.  Line numbers are worked out only
+for a report.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, combinations
+from operator import eq
 from typing import List, Optional, Tuple, Union
 
 from .model import (
@@ -65,35 +72,34 @@ def parse_dimacs(
         text = text.decode("utf-8", errors="replace")
 
     lines = text.splitlines()
-    nvars = -1
-    declared_clauses = 0
-    header_line = duplicate_header = 0
-    body: List[str] = []
-    for lineno, raw in enumerate(lines, start=1):
+    last_line = max(len(lines), 1)
+    for header_line, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] == "c":
             continue
-        if line[0] == "p":
-            if nvars >= 0:
-                # Reported only if no bad token comes before it.
-                duplicate_header = lineno
-                break
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise DimacsError(lineno, f"malformed header {line!r}")
-            try:
-                nvars = int(parts[2])
-                declared_clauses = int(parts[3])
-            except ValueError:
-                raise DimacsError(lineno, f"non-integer header field in {line!r}")
-            if nvars < 0 or declared_clauses < 0:
-                raise DimacsError(lineno, "header counts must be non-negative")
-            header_line = lineno
-            continue
-        if nvars < 0:
-            raise DimacsError(lineno, "clause data before 'p cnf' header")
-        body.append(line)
+        if line[0] != "p":
+            raise DimacsError(header_line, "clause data before 'p cnf' header")
+        parts = line.split()
+        if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+            raise DimacsError(header_line, f"malformed header {line!r}")
+        try:
+            nvars = int(parts[2])
+            declared_clauses = int(parts[3])
+        except ValueError:
+            raise DimacsError(header_line, f"non-integer header field in {line!r}")
+        if nvars < 0 or declared_clauses < 0:
+            raise DimacsError(header_line, "header counts must be non-negative")
+        break
+    else:
+        raise DimacsError(last_line, "missing 'p cnf' header")
 
+    # A second 'p' line stays in the body: its first token is never an int,
+    # so it is met in file order like any bad token.
+    body = [
+        line
+        for line in map(str.strip, lines[header_line:])
+        if line and line[0] != "c"
+    ]
     tokens = " ".join(body).split()
     lit_of = {}
     bad = {}
@@ -111,15 +117,12 @@ def parse_dimacs(
             lit_of[tok] = 2 * n - 2 if n > 0 else -2 * n - 1
     if bad:
         for lineno, line in zip(_body_linenos(lines, header_line, body), body):
+            if line[0] == "p":
+                raise DimacsError(lineno, "duplicate 'p' header")
             for tok in line.split():
                 if tok in bad:
                     raise DimacsError(lineno, bad[tok])
-    if duplicate_header:
-        raise DimacsError(duplicate_header, "duplicate 'p' header")
 
-    last_line = max(len(lines), 1)
-    if nvars < 0:
-        raise DimacsError(last_line, "missing 'p cnf' header")
     # Tuples, so that a slice is already a clause.  The token strings are
     # the parse's largest transient, so they go before any clause is built.
     lits = tuple(map(lit_of.__getitem__, tokens))
@@ -127,23 +130,26 @@ def parse_dimacs(
     if lits and lits[-1] != _END:
         raise DimacsError(last_line, "clause missing terminating 0 at end of input")
     var_of = {lit: lit >> 1 for lit in lit_of.values()}
-    variables = tuple(map(var_of.__getitem__, lits))
-
-    clauses = []
-    tautology_ends = []
-    start = 0
     parsed_clauses = lits.count(_END)
-    for _ in range(parsed_clauses):
-        end = lits.index(_END, start)
-        if len(set(variables[start:end])) == end - start:
-            clauses.append(lits[start:end])
-        else:
-            clause = make_clause(lits[start:end])
-            if clause is None:
-                tautology_ends.append(end)
+
+    clauses = _one_width_clauses(lits, parsed_clauses, var_of)
+    tautology_ends = []
+    if clauses is None:
+        # Mixed widths or a repeated variable: clause by clause.
+        variables = tuple(map(var_of.__getitem__, lits))
+        clauses = []
+        start = 0
+        for _ in range(parsed_clauses):
+            end = lits.index(_END, start)
+            if len(set(variables[start:end])) == end - start:
+                clauses.append(lits[start:end])
             else:
-                clauses.append(clause)
-        start = end + 1
+                clause = make_clause(lits[start:end])
+                if clause is None:
+                    tautology_ends.append(end)
+                else:
+                    clauses.append(clause)
+            start = end + 1
 
     warnings: List[Tuple[int, str]] = []
     if tautology_ends:
@@ -160,6 +166,30 @@ def parse_dimacs(
         ))
 
     return Formula(nvars, clauses), warnings
+
+
+def _one_width_clauses(
+    lits: Tuple[int, ...], count: int, var_of: dict
+) -> Optional[List[Tuple[int, ...]]]:
+    """The count clauses that lits terminates, built column by column, or
+    None unless every clause has one width and no clause repeats a variable.
+
+    With one width k, lits is count rows of k literals and a terminator, so
+    the terminators are exactly every (k+1)-th entry, and the clauses are
+    the rows of the k strided columns.  A clause repeats a variable where
+    two variable columns agree in its row; then parse_dimacs goes clause by
+    clause, so that make_clause merges or drops it.
+    """
+    stride = len(lits) // count if count else 1
+    if count * stride != len(lits) or lits[stride - 1 :: stride].count(_END) != count:
+        return None
+    if stride == 1:
+        return [()] * count
+    columns = [lits[i::stride] for i in range(stride - 1)]
+    var_columns = [tuple(map(var_of.__getitem__, c)) for c in columns]
+    if any(any(map(eq, a, b)) for a, b in combinations(var_columns, 2)):
+        return None
+    return list(zip(*columns))
 
 
 def _body_linenos(lines: List[str], header_line: int, body: List[str]) -> List[int]:

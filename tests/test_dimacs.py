@@ -13,7 +13,13 @@ from chronosat.dimacs import (
     write_dimacs,
 )
 from chronosat.gen import random_ksat
-from chronosat.model import SolveResult, Verdict, lit_to_dimacs
+from chronosat.model import (
+    SolveResult,
+    Verdict,
+    lit_from_dimacs,
+    lit_to_dimacs,
+    make_clause,
+)
 
 
 def clause_ints(formula):
@@ -62,7 +68,7 @@ def test_parse_missing_header():
 
 
 def test_parse_clause_before_header():
-    with pytest.raises(DimacsError, match="line 1"):
+    with pytest.raises(DimacsError, match="line 1: clause data before 'p cnf' header"):
         parse_dimacs("1 2 0\np cnf 2 1\n")
 
 
@@ -116,6 +122,12 @@ def test_parse_junk_token_before_duplicate_header_wins():
         parse_dimacs("p cnf 2 1\n1 x 0\np cnf 2 1\n")
 
 
+def test_parse_duplicate_header_wins_over_a_later_junk_token():
+    # Nothing after a duplicate header is read.
+    with pytest.raises(DimacsError, match="line 3: duplicate 'p' header"):
+        parse_dimacs("p cnf 2 1\n1 0\np cnf 2 1\nx 0\n")
+
+
 def test_parse_range_error_before_junk_token_on_one_line_wins():
     with pytest.raises(DimacsError, match="line 2: literal 7 exceeds"):
         parse_dimacs("p cnf 2 1\n1 7 x 0\n")
@@ -159,6 +171,105 @@ def test_parse_zero_vars_zero_clauses():
     assert f.variable_count == 0
     assert f.clause_count == 0
     assert warnings == []
+
+
+@pytest.mark.parametrize(
+    "text, clauses, warnings",
+    [
+        # Width 0: a file of empty clauses.
+        ("p cnf 2 3\n0\n0\n0\n", [[], [], []], []),
+        # Width 1: a file of units.
+        ("p cnf 3 3\n1 0\n-2 0\n3 0\n", [[1], [-2], [3]], []),
+        # One width, but the last clause repeats a variable.
+        (
+            "p cnf 3 3\n1 -2 3 0\n-1 2 -3 0\n2 -3 2 0\n",
+            [[1, -2, 3], [-1, 2, -3], [2, -3]],
+            [],
+        ),
+        # One width, with a tautology in the middle.
+        (
+            "p cnf 3 3\n1 2 3 0\n1 -1 2 0\n-1 -2 -3 0\n",
+            [[1, 2, 3], [-1, -2, -3]],
+            [(3, "tautological clause dropped")],
+        ),
+        # Widths 2, 0, 4: 3 clauses in 9 tokens, as three clauses of width 2
+        # would be, but the terminators are not every third token.
+        ("p cnf 4 3\n1 2 0\n0\n1 -2 3 -4 0\n", [[1, 2], [], [1, -2, 3, -4]], []),
+    ],
+    ids=["width-0", "width-1", "last-repeats", "tautology", "widths-2-0-4"],
+)
+def test_parse_one_width_edge_cases(text, clauses, warnings):
+    f, found = parse_dimacs(text)
+    assert clause_ints(f) == clauses
+    assert found == warnings
+
+
+_FILLER = st.sampled_from(["", "   ", "c", "c 1 -1 0", "  c p cnf 9 9", "c 0"])
+
+
+def _spellings(n):
+    """Tokens that int() reads as n."""
+    if n == 0:
+        return ["0", "-0", "+0", "00"]
+    if n > 0:
+        return [str(n), f"+{n}", f"0{n}"]
+    return [str(n), f"-0{-n}"]
+
+
+@st.composite
+def dimacs_texts(draw):
+    """DIMACS text with the clauses, warnings and variable count that
+    parsing it should give.
+
+    Clauses of width 0 to 5 over at most 6 variables, in files of one width
+    or of mixed widths.  Lines break anywhere between tokens, comment and
+    blank lines fall between and inside clauses, and literals come in every
+    spelling int() reads."""
+    nvars = draw(st.integers(1, 6))
+    literal = st.integers(-nvars, nvars).filter(bool)
+    if draw(st.booleans()):
+        widths = [draw(st.integers(0, 5))] * draw(st.integers(0, 8))
+    else:
+        widths = draw(st.lists(st.integers(0, 5), max_size=8))
+    clauses = [draw(st.lists(literal, min_size=w, max_size=w)) for w in widths]
+    declared = draw(st.integers(max(len(clauses) - 1, 0), len(clauses) + 1))
+
+    lines = draw(st.lists(_FILLER, max_size=2))
+    lines.append(f"p cnf {nvars} {declared}")
+    expected, warnings = [], []
+    current = []
+    for clause in clauses:
+        for n in clause + [0]:
+            if current and draw(st.booleans()):
+                lines.append(" ".join(current))
+                lines.extend(draw(st.lists(_FILLER, max_size=2)))
+                current = []
+            current.append(draw(st.sampled_from(_spellings(n))))
+        merged = make_clause([lit_from_dimacs(n) for n in clause])
+        if merged is None:
+            # The terminating 0 sits on the line current will become.
+            warnings.append((len(lines) + 1, "tautological clause dropped"))
+        else:
+            expected.append(merged)
+    if current:
+        lines.append(" ".join(current))
+    lines.extend(draw(st.lists(_FILLER, max_size=2)))
+    if declared != len(clauses):
+        warnings.append(
+            (len(lines), f"header declares {declared} clauses, found {len(clauses)}")
+        )
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline, nvars, expected, warnings
+
+
+@settings(deadline=None, max_examples=300)
+@given(dimacs_texts())
+def test_parse_generated_text(case):
+    text, nvars, clauses, warnings = case
+    f, found = parse_dimacs(text)
+    assert f.variable_count == nvars
+    assert f.clauses == clauses
+    assert found == warnings
 
 
 def test_parse_file(tmp_path):
