@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from glob import glob
 from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -102,66 +102,58 @@ def search_key(config: SolverConfig) -> tuple:
     )
 
 
-@dataclass
-class _FileJobs:
-    """The file whose jobs `_run_file` is running.
-
-    formula is None for a file that did not parse.  job is the (config,
-    search key) of the job running now; searches maps a search key to a
-    SAT or UNSAT result of this file that made no decision in CB state.
-    """
-
-    path: str
-    formula: Optional[Formula]
-    job: Optional[Tuple[SolverConfig, tuple]] = None
-    searches: Dict[tuple, SolveResult] = field(default_factory=dict)
-
-
-# Set by `_run_file` for its file's jobs, None between files.  `run_instance`
-# and `solve_formula` keep their signatures because callers wrap them by
-# attribute, so the parsed formula and the file's shared searches reach them
-# here and never outlive the file's jobs.
-_current_file: Optional[_FileJobs] = None
+# Set by `_run_file` to (path, formula, searches) for its file's jobs, and
+# None between files.  formula is None for a file that did not parse;
+# searches maps a search key (see `search_key`) to a SAT or UNSAT result on
+# this formula that made no decision in CB state.  `run_instance` and
+# `solve_formula` keep their signatures because callers wrap them by
+# attribute, so the parsed formula and the file's shared searches reach
+# them here and never outlive the file's jobs.
+_current_file: Optional[Tuple[str, Optional[Formula], Dict[tuple, SolveResult]]] = None
 
 
 def solve_formula(formula: Formula, config: SolverConfig) -> SolveResult:
     """`engine.solve_formula`, sharing searches between a file's jobs.
 
-    Inside `_run_file`, a job whose search key (see `search_key`) equals an
-    earlier job's gets a copy of that job's result (verdict, model and
+    While `_run_file` runs a file's jobs, a call on that file's parsed
+    formula whose config has the search key (see `search_key`) of an
+    earlier call's gets a copy of that call's result (verdict, model and
     stats, wall time included) when that search ended SAT or UNSAT without
     a decision in CB state: the two searches are the same search.  Any
-    other call solves.
+    other call, on another formula or outside `_run_file`, solves and
+    stores nothing.
     """
-    jobs = _current_file
-    job = None if jobs is None or formula is not jobs.formula else jobs.job
-    if job is None or config is not job[0]:
+    file = _current_file
+    if file is None or formula is not file[1]:
         return engine.solve_formula(formula, config)
-    key = job[1]
-    shared = jobs.searches.get(key)
+    searches = file[2]
+    key = search_key(config)
+    shared = searches.get(key)
     if shared is not None:
         model = None if shared.model is None else list(shared.model)
         return SolveResult(shared.verdict, model, replace(shared.stats))
     result = engine.solve_formula(formula, config)
     if result.verdict is not Verdict.UNKNOWN and result.stats.cb_state_decisions == 0:
-        jobs.searches[key] = result
+        searches[key] = result
     return result
 
 
 def run_instance(path: str, label: str, config: SolverConfig) -> RunRecord:
     """Solve one DIMACS file; failures become an ERROR record, not a crash.
 
-    Called on its own, it always parses and solves the file.  Inside
-    `run_suite` it reuses the formula `_run_file` parsed for all of the
-    file's configurations, and its `solve_formula` call may return a copy
-    of an earlier configuration's identical search, whose time_s it then
-    reports.  Parsing, construction and search pause the cyclic collector
-    themselves (see `model._collector_paused`).
+    Called on its own, it always parses and solves the file.  While
+    `_run_file` runs the jobs of this path, it takes that file's parsed
+    formula from the per-file context instead (an ERROR row when the file
+    did not parse), and its `solve_formula` call may return a copy of an
+    earlier job's identical search, whose time_s it then reports.
+    Parsing, construction and search pause the cyclic collector themselves
+    (see `model._collector_paused`).
     """
     name = os.path.basename(path)
+    file = _current_file
     try:
-        if _current_file is not None and _current_file.path == path:
-            formula = _current_file.formula
+        if file is not None and file[0] == path:
+            formula = file[1]
             if formula is None:
                 raise ValueError(f"{path} did not parse")
         else:
@@ -180,23 +172,17 @@ def run_instance(path: str, label: str, config: SolverConfig) -> RunRecord:
     )
 
 
-def _run_file(
-    path: str, configs: Sequence[Tuple[str, SolverConfig, tuple]]
-) -> List[RunRecord]:
-    """Every (label, config, search key) `run_instance` job on one file,
-    parsed once; jobs with one search key may share a search."""
+def _run_file(path: str, configs: Sequence[Tuple[str, SolverConfig]]) -> List[RunRecord]:
+    """Every (label, config) `run_instance` job on one file, parsed once,
+    with `_current_file` set to the file's context while they run."""
     global _current_file
     try:
         formula: Optional[Formula] = parse_dimacs_file(path)[0]
     except Exception:
         formula = None
-    jobs = _current_file = _FileJobs(path, formula)
+    _current_file = (path, formula, {})
     try:
-        records = []
-        for label, config, key in configs:
-            jobs.job = (config, key)
-            records.append(run_instance(path, label, config))
-        return records
+        return [run_instance(path, label, config) for label, config in configs]
     finally:
         _current_file = None
 
@@ -224,21 +210,24 @@ def run_suite(
 ) -> List[RunRecord]:
     """Run every configuration on every instance.
 
-    Jobs are grouped per file: each file is parsed once per suite and its
-    formula serves all of its configurations.  Configurations that differ
-    only in what a search reads at its first decision in CB state (the cb
-    heuristic, and the RNG seed or DPS decay when only it uses them; see
-    `search_key`) share a search: when a file's search under one of them
-    ends SAT or UNSAT without a CB-state decision, every later one takes a
-    copy of its result, time_s included, as it would have made the same
-    search.  Timeouts, errors and searches with a CB-state decision are
-    never shared.  Every job still runs through `run_instance` and
-    `solve_formula`.  The library calls a job makes
-    (parse, construction, search) pause the cyclic collector themselves.
-    Rows come back sorted by (instance, configLabel) regardless of worker
-    scheduling, so suite output is stable and counters are deterministic.
-    With workers > 1 the files run in up to that many spawned processes,
-    one task per file.
+    Jobs are grouped per file: each file is parsed once per suite, and
+    while its jobs run, one per-file context, (path, formula, searches),
+    gives `run_instance` the parsed formula and `solve_formula` the file's
+    shared searches; it is cleared when the file's jobs end, however they
+    end.  Configurations that differ only in what a search reads at its
+    first decision in CB state (the cb heuristic, and the RNG seed or DPS
+    decay when only it uses them; see `search_key`) share a search: when a
+    file's search under one of them ends SAT or UNSAT without a CB-state
+    decision, every later one takes a copy of its result, time_s included,
+    as it would have made the same search.  Timeouts, errors and searches
+    with a CB-state decision are never shared.  Every job still runs
+    through `run_instance` and `solve_formula`.  The library calls a job
+    makes (parse, construction, search) pause the cyclic collector
+    themselves.  Rows come back sorted by (instance, configLabel)
+    regardless of worker scheduling, so suite output is stable and
+    counters are deterministic.  With workers > 1 the files run in up to
+    that many spawned processes, one task per file, each with its own
+    per-file context.
     """
     paths = discover_instances(instances)
     if not configs:
@@ -252,7 +241,6 @@ def run_suite(
         configs = [
             (label, replace(cfg, time_limit_seconds=time_limit)) for label, cfg in configs
         ]
-    configs = [(label, cfg, search_key(cfg)) for label, cfg in configs]
     if workers == 1:
         per_file = [_run_file(path, configs) for path in paths]
     else:
@@ -301,6 +289,13 @@ def read_csv(path: str) -> List[RunRecord]:
                 counts = dict(zip(COUNTER_NAMES, map(int, counters)))
             except ValueError as err:
                 raise ValueError(f"{where}: non-numeric field: {err}") from None
+            if not 0.0 <= seconds < float("inf"):
+                raise ValueError(
+                    f"{where}: time_s is {time_s!r}, expected a finite number >= 0"
+                )
+            for name, count in counts.items():
+                if count < 0:
+                    raise ValueError(f"{where}: {name} is {count}, expected a count >= 0")
             records.append(
                 RunRecord(
                     instance, label, verdict, seconds, _CSV_FLAGS[timed_out], **counts

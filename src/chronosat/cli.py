@@ -148,8 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--workers", type=int, default=1,
         help="worker processes; jobs are grouped per file and each file is "
-        "parsed once per suite (parsing, construction and search pause the "
-        "cyclic collector themselves)",
+        "parsed once per suite",
     )
     _add_config_flags(p_bench)
 

@@ -6,11 +6,12 @@ terminator, malformed model) raise DimacsError with a 1-based line number.
 
 parse_dimacs reports the first error in file order, as a reader going
 token by token would meet it: a junk token or an out-of-range literal wins
-over a duplicate 'p' header on a later line, nothing after a duplicate
-header is reported, and of two bad tokens on one line the earlier wins,
-whichever kind it is.  A missing terminating 0 is reported only after the
-whole body has been read.  Warnings come in file order, each tautology at
-the line of its terminating 0, and the clause count mismatch last.
+over a duplicate 'p' header (a body line whose first token is 'p') on a
+later line, nothing after a duplicate header is reported, and of two bad
+tokens on one line the earlier wins, whichever kind it is.  A missing
+terminating 0 is reported only after the whole body has been read.
+Warnings come in file order, each tautology at the line of its
+terminating 0, and the clause count mismatch last.
 
 The clause body is tokenized in one pass: the data lines are joined and
 split once, each distinct token goes through int() once, and the token
@@ -117,9 +118,10 @@ def parse_dimacs(
             lit_of[tok] = 2 * n - 2 if n > 0 else -2 * n - 1
     if bad:
         for lineno, line in zip(_body_linenos(lines, header_line, body), body):
-            if line[0] == "p":
+            line_tokens = line.split()
+            if line_tokens[0] == "p":
                 raise DimacsError(lineno, "duplicate 'p' header")
-            for tok in line.split():
+            for tok in line_tokens:
                 if tok in bad:
                     raise DimacsError(lineno, bad[tok])
 

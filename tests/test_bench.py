@@ -1,7 +1,8 @@
 import csv
 import gc
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
+from enum import Enum
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from chronosat.bench import (
     run_instance,
     run_suite,
     scatter_points,
+    search_key,
     write_csv,
 )
 from chronosat.cli import PRESETS
@@ -159,8 +161,24 @@ def test_read_csv_rejects_rows_of_the_wrong_width(tmp_path, width):
         (3, "abc", "non-numeric field"),
         (5, "abc", "non-numeric field"),
         (len(CSV_HEADER) - 1, "1.5", "non-numeric field"),
+        (3, "nan", "time_s is 'nan', expected a finite number >= 0"),
+        (3, "inf", "time_s is 'inf', expected a finite number >= 0"),
+        (3, "-3", "time_s is '-3', expected a finite number >= 0"),
+        (5, "-1", "conflicts is -1, expected a count >= 0"),
+        (len(CSV_HEADER) - 1, "-2", "lsids_differs_saved is -2, expected a count >= 0"),
     ],
-    ids=["verdict", "timed_out", "time_s", "first-counter", "last-counter"],
+    ids=[
+        "verdict",
+        "timed_out",
+        "time_s",
+        "first-counter",
+        "last-counter",
+        "time_s-nan",
+        "time_s-inf",
+        "time_s-negative",
+        "first-counter-negative",
+        "last-counter-negative",
+    ],
 )
 def test_read_csv_rejects_a_malformed_field(tmp_path, column, value, expected):
     bad = rec(instance="x.cnf").as_csv_row()
@@ -426,6 +444,76 @@ def test_shared_searches_give_the_rows_of_standalone_runs(tmp_path, pack_dir, mo
     assert [untimed(r) for r in rows] == [untimed(r) for r in expected]
     # The grid shares searches, but not all of them.
     assert len(SHARING_GRID) < len(solves) < len(rows)
+
+
+def _other_values(value):
+    """Values other than value that a SolverConfig field holding it accepts."""
+    if isinstance(value, Enum):
+        return [member for member in type(value) if member is not value]
+    if value is None:
+        return [1.0]
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [value + 1]
+    if isinstance(value, float):
+        return [value / 2]
+    raise AssertionError(f"no other value known for {value!r}")
+
+
+def test_search_key_ignores_only_what_the_search_cannot_read():
+    # A field added to SolverConfig changes the key unless this rule says
+    # otherwise, so a new knob never silently shares a search.
+    for ncb in PhaseHeuristic:
+        base = SolverConfig(ncb_phase_heuristic=ncb)
+        for f in fields(SolverConfig):
+            ignored = (
+                f.name == "cb_phase_heuristic"
+                or (f.name == "random_seed" and ncb is not PhaseHeuristic.RANDOM)
+                or (f.name == "dps_decay" and ncb is not PhaseHeuristic.DPS)
+            )
+            for other in _other_values(getattr(base, f.name)):
+                changed = replace(base, **{f.name: other})
+                same = search_key(changed) == search_key(base)
+                assert same is ignored, (ncb, f.name, other)
+
+
+def test_the_file_context_is_cleared_when_a_job_raises(tmp_path, monkeypatch):
+    path = _write(tmp_path, "s.cnf", SAT_TEXT)
+    original, seen = bench.run_instance, []
+
+    def interrupted(path, label, config):
+        seen.append(original(path, label, config).verdict)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(bench, "run_instance", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_suite([path], [("a", SolverConfig()), ("b", SolverConfig())])
+    assert seen == ["SAT"]
+    assert bench._current_file is None
+
+
+def test_another_formula_is_solved_afresh_inside_a_files_jobs(tmp_path, monkeypatch):
+    path = _write(tmp_path, "s.cnf", SAT_TEXT)
+    twin = parse_dimacs_file(path)[0]  # the file's clauses, another object
+    original, verdicts = bench.run_instance, []
+
+    def job(path, label, config):
+        searches = bench._current_file[2]
+        before = dict(searches)
+        for _ in range(2):
+            verdicts.append(bench.solve_formula(twin, config).verdict.value)
+        assert searches == before
+        return original(path, label, config)
+
+    monkeypatch.setattr(bench, "run_instance", job)
+    solves = count_engine_solves(monkeypatch)
+    # One search key: the file's own search is solved once and shared.
+    configs = [("a", SolverConfig()), ("b", SolverConfig(cb_phase_heuristic="saved"))]
+    rows = run_suite([path], configs)
+    assert [r.verdict for r in rows] == ["SAT", "SAT"]
+    assert verdicts == ["SAT"] * 4
+    assert len(solves) == 4 + 1
 
 
 def test_a_search_is_shared_only_when_it_makes_no_cb_state_decision(pack_dir, monkeypatch):

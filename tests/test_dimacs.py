@@ -128,6 +128,20 @@ def test_parse_duplicate_header_wins_over_a_later_junk_token():
         parse_dimacs("p cnf 2 1\n1 0\np cnf 2 1\nx 0\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p cnf 2 1\nprobably 0\n", "line 2: invalid token 'probably'"),
+        ("p cnf 2 1\n1 0\npcnf 2 1\n", "line 3: invalid token 'pcnf'"),
+        ("p cnf 2 1\n1 x 0\npx 0\n", "line 2: invalid token 'x'"),
+    ],
+)
+def test_parse_a_body_word_starting_with_p_is_a_bad_token(text, message):
+    # Only a line whose first token is exactly 'p' is a duplicate header.
+    with pytest.raises(DimacsError, match=f"^{message}$"):
+        parse_dimacs(text)
+
+
 def test_parse_range_error_before_junk_token_on_one_line_wins():
     with pytest.raises(DimacsError, match="line 2: literal 7 exceeds"):
         parse_dimacs("p cnf 2 1\n1 7 x 0\n")
