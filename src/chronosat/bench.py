@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, fields, replace
-from glob import glob
+from glob import escape, glob
 from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -188,17 +188,27 @@ def _run_file(path: str, configs: Sequence[Tuple[str, SolverConfig]]) -> List[Ru
 
 
 def discover_instances(source: Union[str, Iterable[str]]) -> List[str]:
-    """A directory becomes its sorted *.cnf files; an iterable passes through."""
+    """A directory becomes its sorted *.cnf files; an iterable passes through.
+
+    A record names its instance by the file's basename, so two paths with
+    one basename are rejected.
+    """
     if isinstance(source, str):
         if not os.path.isdir(source):
             raise ValueError(f"not a directory: {source}")
-        paths = sorted(glob(os.path.join(source, "*.cnf")))
+        paths = sorted(glob(os.path.join(escape(source), "*.cnf")))
         if not paths:
             raise ValueError(f"no .cnf instances found in {source}")
         return paths
     paths = list(source)
     if not paths:
         raise ValueError("no instances given")
+    names = set()
+    for path in paths:
+        name = os.path.basename(path)
+        if name in names:
+            raise ValueError(f"two instances share the basename {name!r}")
+        names.add(name)
     return paths
 
 
@@ -263,7 +273,15 @@ def write_csv(records: Sequence[RunRecord], path: str) -> None:
 
 
 def read_csv(path: str) -> List[RunRecord]:
+    """The records of a CSV that write_csv wrote.
+
+    A row `run_instance` could not have written is rejected with its file
+    and line: a malformed field, `timed_out` other than `verdict ==
+    UNKNOWN`, an ERROR row with a nonzero time or counter, or a second row
+    for one (instance, configLabel).
+    """
     records = []
+    keys = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -296,6 +314,19 @@ def read_csv(path: str) -> List[RunRecord]:
             for name, count in counts.items():
                 if count < 0:
                     raise ValueError(f"{where}: {name} is {count}, expected a count >= 0")
+            if _CSV_FLAGS[timed_out] != (verdict == "UNKNOWN"):
+                raise ValueError(
+                    f"{where}: timed_out is {timed_out!r} with verdict {verdict}, "
+                    "expected 'true' exactly when the verdict is UNKNOWN"
+                )
+            if verdict == "ERROR" and (seconds or any(counts.values())):
+                raise ValueError(f"{where}: ERROR row with a nonzero time_s or counter")
+            if (instance, label) in keys:
+                raise ValueError(
+                    f"{where}: second row for instance {instance!r} "
+                    f"under configLabel {label!r}"
+                )
+            keys.add((instance, label))
             records.append(
                 RunRecord(
                     instance, label, verdict, seconds, _CSV_FLAGS[timed_out], **counts

@@ -22,13 +22,12 @@ are zipped into rows, and a pairwise comparison of their variable columns
 finds a clause that repeats a variable.  Mixed widths, or any repeated
 variable, send the whole file through a clause-by-clause loop, which
 merges duplicates and drops tautologies.  Line numbers are worked out only
-for a report.
+for a report, as one table of each token's line.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate, combinations
+from itertools import combinations
 from operator import eq
 from typing import List, Optional, Tuple, Union
 
@@ -117,13 +116,11 @@ def parse_dimacs(
         else:
             lit_of[tok] = 2 * n - 2 if n > 0 else -2 * n - 1
     if bad:
-        for lineno, line in zip(_body_linenos(lines, header_line, body), body):
-            line_tokens = line.split()
-            if line_tokens[0] == "p":
-                raise DimacsError(lineno, "duplicate 'p' header")
-            for tok in line_tokens:
-                if tok in bad:
-                    raise DimacsError(lineno, bad[tok])
+        at = _token_lines(lines, header_line)
+        i, tok = next((i, tok) for i, tok in enumerate(tokens) if tok in bad)
+        if tok == "p" and (i == 0 or at[i - 1] != at[i]):
+            raise DimacsError(at[i], "duplicate 'p' header")
+        raise DimacsError(at[i], bad[tok])
 
     # Tuples, so that a slice is already a clause.  The token strings are
     # the parse's largest transient, so they go before any clause is built.
@@ -155,12 +152,9 @@ def parse_dimacs(
 
     warnings: List[Tuple[int, str]] = []
     if tautology_ends:
-        # cum[i] counts the tokens of body lines 0..i.
-        cum = list(accumulate(len(line.split()) for line in body))
-        linenos = _body_linenos(lines, header_line, body)
+        at = _token_lines(lines, header_line)
         for end in tautology_ends:
-            lineno = linenos[bisect_right(cum, end)]
-            warnings.append((lineno, "tautological clause dropped"))
+            warnings.append((at[end], "tautological clause dropped"))
     if parsed_clauses != declared_clauses:
         warnings.append((
             last_line,
@@ -194,18 +188,16 @@ def _one_width_clauses(
     return list(zip(*columns))
 
 
-def _body_linenos(lines: List[str], header_line: int, body: List[str]) -> List[int]:
-    """The 1-based line numbers of body, the clause-data lines that follow
-    the header on line header_line, found again by skipping blank and
-    comment lines as parse_dimacs does."""
-    linenos: List[int] = []
-    for lineno in range(header_line + 1, len(lines) + 1):
-        if len(linenos) == len(body):
-            break
-        line = lines[lineno - 1].strip()
+def _token_lines(lines: List[str], header_line: int) -> List[int]:
+    """The 1-based line number of each clause-data token, in token order,
+    for the body that follows the header on line header_line: blank and
+    comment lines are skipped as parse_dimacs skips them."""
+    at: List[int] = []
+    for lineno, raw in enumerate(lines[header_line:], start=header_line + 1):
+        line = raw.strip()
         if line and line[0] != "c":
-            linenos.append(lineno)
-    return linenos
+            at += [lineno] * len(line.split())
+    return at
 
 
 def parse_dimacs_file(path) -> Tuple[Formula, List[Tuple[int, str]]]:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .model import (
     Formula,
@@ -179,39 +179,36 @@ class Solver:
         self._lbd_recent: deque = deque(maxlen=GLUCOSE_WINDOW)
         self._lbd_global_sum = 0
 
-        # Input clauses are attached in order, as _attach would; a unit is
-        # assigned at level 0, and an empty or falsified one stops here.
+        # Input clauses are copied in order; a unit is assigned at level 0,
+        # and an empty or falsified one stops here.
         self.ok = True
-        watches = self.watches
         clauses = self.clauses
         value = self.value
         for clause in formula.clauses:
             if len(clause) > 1:
-                c = Clause(list(clause))
-                clauses.append(c)
-                l0, l1 = clause[0], clause[1]
-                wl = watches[l0]
-                wl.append(c)
-                wl.append(l1)
-                wl = watches[l1]
-                wl.append(c)
-                wl.append(l0)
+                clauses.append(Clause(list(clause)))
             elif not clause or value[clause[0]] < 0:
                 self.ok = False
                 break
             elif value[clause[0]] == 0:
                 self._enqueue(clause[0], None, 0)
+        self._attach(clauses)
 
     # -- construction --------------------------------------------------------
 
-    def _attach(self, c: Clause) -> None:
-        lits = c.lits
-        wl = self.watches[lits[0]]
-        wl.append(c)
-        wl.append(lits[1])
-        wl = self.watches[lits[1]]
-        wl.append(c)
-        wl.append(lits[0])
+    def _attach(self, clauses: Iterable[Clause]) -> None:
+        """Watch the first two literals of each clause, in order: each
+        watched literal's list gets the clause and the other as blocker."""
+        watches = self.watches
+        for c in clauses:
+            lits = c.lits
+            l0, l1 = lits[0], lits[1]
+            wl = watches[l0]
+            wl.append(c)
+            wl.append(l1)
+            wl = watches[l1]
+            wl.append(c)
+            wl.append(l0)
 
     def _enqueue(self, lit: int, reason: Optional[Clause], level: int) -> None:
         self.value[lit] = 1
@@ -586,10 +583,8 @@ class Solver:
         keep = len(candidates) - len(candidates) // 2
         self.learnts = protected + candidates[:keep]
         self.watches = [[] for _ in range(2 * self.n_vars)]
-        for c in self.clauses:
-            self._attach(c)
-        for c in self.learnts:
-            self._attach(c)
+        self._attach(self.clauses)
+        self._attach(self.learnts)
 
     # -- main loop -------------------------------------------------------------
 
@@ -647,7 +642,7 @@ class Solver:
                 if len(learnt) > 1:
                     c = Clause(learnt, lbd, self.cla_inc)
                     self.learnts.append(c)
-                    self._attach(c)
+                    self._attach((c,))
                 self._enqueue(learnt[0], c, assert_level)
                 self.phase.on_clause_learnt(learnt)
                 self.var_inc *= 1.0 / VAR_DECAY

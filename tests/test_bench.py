@@ -186,6 +186,42 @@ def test_read_csv_rejects_a_malformed_field(tmp_path, column, value, expected):
     assert expected in _read_csv_error(tmp_path, bad)
 
 
+@pytest.mark.parametrize(
+    "fields, expected",
+    [
+        (dict(timed_out=True), "timed_out is 'true' with verdict SAT"),
+        (dict(verdict="UNKNOWN"), "timed_out is 'false' with verdict UNKNOWN"),
+        (dict(verdict="ERROR", timed_out=True), "timed_out is 'true' with verdict ERROR"),
+        (dict(verdict="ERROR"), "ERROR row with a nonzero time_s or counter"),
+        (dict(verdict="ERROR", time_s=0.0, restarts=1), "ERROR row with a nonzero"),
+        ({}, "second row for instance 'x.cnf' under configLabel 'a'"),
+    ],
+    ids=[
+        "sat-timed-out",
+        "unknown-not-timed-out",
+        "error-timed-out",
+        "error-time",
+        "error-counter",
+        "repeated-key",
+    ],
+)
+def test_read_csv_rejects_a_row_run_instance_never_writes(tmp_path, fields, expected):
+    bad = rec(instance="x.cnf", **fields).as_csv_row()
+    assert expected in _read_csv_error(tmp_path, bad)
+
+
+def test_read_csv_reads_back_every_kind_of_row_the_harness_writes(tmp_path):
+    _write(tmp_path, "sat.cnf", SAT_TEXT)
+    _write(tmp_path, "bad.cnf", "p cnf 1 1\nx 0\n")
+    _write(tmp_path, "hard.cnf", write_dimacs(pigeonhole(8, 7)))
+    configs = [("a", SolverConfig()), ("b", SolverConfig(cb_phase_heuristic="saved"))]
+    rows = run_suite(str(tmp_path), configs, time_limit=0.05)
+    assert {r.verdict for r in rows} == {"SAT", "ERROR", "UNKNOWN"}
+    path = str(tmp_path / "runs.csv")
+    write_csv(rows, path)
+    assert read_csv(path) == [replace(r, time_s=float(f"{r.time_s:.6f}")) for r in rows]
+
+
 def test_read_csv_rejects_an_empty_file_naming_it(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -348,7 +384,7 @@ def test_run_instance_pauses_the_collector_and_restores_its_state(
     # Probes inside parsing (its last step, or its bad-token report),
     # construction and search: each library call pauses the collector.
     parse = gc_probe(dimacs, "Formula")
-    parse_error = gc_probe(dimacs, "_body_linenos")
+    parse_error = gc_probe(dimacs, "_token_lines")
     construction = gc_probe(engine, "PhaseSelector")
     search = gc_probe(engine.Solver, "_search")
     gc.enable() if enabled_before else gc.disable()
@@ -383,6 +419,27 @@ def test_run_suite_validation(tmp_path):
         run_suite(str(tmp_path), [("d", SolverConfig())], workers=0)
     with pytest.raises(ValueError):
         discover_instances([])
+
+
+def test_discover_instances_rejects_a_repeated_basename(tmp_path):
+    # Rows name an instance by basename, so the two files' rows would merge.
+    (tmp_path / "d1").mkdir()
+    (tmp_path / "d2").mkdir()
+    paths = [
+        _write(tmp_path / "d1", "a.cnf", SAT_TEXT),
+        _write(tmp_path / "d2", "a.cnf", UNSAT_TEXT),
+    ]
+    with pytest.raises(ValueError, match="basename 'a.cnf'"):
+        discover_instances(paths)
+    with pytest.raises(ValueError, match="basename 'a.cnf'"):
+        run_suite(paths, [("x", SolverConfig()), ("y", SolverConfig())])
+
+
+def test_discover_instances_reads_a_directory_whose_name_is_a_glob_pattern(tmp_path):
+    runs = tmp_path / "runs[1]"
+    runs.mkdir()
+    path = _write(runs, "x.cnf", SAT_TEXT)
+    assert discover_instances(str(runs)) == [path]
 
 
 def test_worker_count_does_not_change_results(tmp_path, pack_dir):

@@ -134,12 +134,21 @@ def test_parse_duplicate_header_wins_over_a_later_junk_token():
         ("p cnf 2 1\nprobably 0\n", "line 2: invalid token 'probably'"),
         ("p cnf 2 1\n1 0\npcnf 2 1\n", "line 3: invalid token 'pcnf'"),
         ("p cnf 2 1\n1 x 0\npx 0\n", "line 2: invalid token 'x'"),
+        ("p cnf 2 1\n1 p 0\n", "line 2: invalid token 'p'"),
+        # A 'p' that starts a line is a header even inside a clause.
+        ("p cnf 2 1\n1 2\np 0\n", "line 3: duplicate 'p' header"),
     ],
 )
 def test_parse_a_body_word_starting_with_p_is_a_bad_token(text, message):
     # Only a line whose first token is exactly 'p' is a duplicate header.
     with pytest.raises(DimacsError, match=f"^{message}$"):
         parse_dimacs(text)
+
+
+def test_parse_tautology_spanning_a_comment_and_a_blank_line():
+    f, warnings = parse_dimacs("p cnf 2 1\n1\nc mid\n\n-1 0\n")
+    assert f.clauses == []
+    assert warnings == [(5, "tautological clause dropped")]
 
 
 def test_parse_range_error_before_junk_token_on_one_line_wins():

@@ -490,7 +490,7 @@ def test_heap_holds_current_entry_of_every_unassigned_variable(
 def _inject_learnt(s, signed, lbd, activity):
     c = Clause([lit(n) for n in signed], lbd, activity)
     s.learnts.append(c)
-    s._attach(c)
+    s._attach((c,))
     return c
 
 
