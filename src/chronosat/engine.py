@@ -172,7 +172,7 @@ class Solver:
         self.cla_inc = 1.0
 
         self.seen = bytearray(n)
-        self._conflicts_since_restart = 0
+        # Conflicts left before the next Luby restart.
         self._restart_budget = luby(0) * self.config.luby_base
         # Set by each conflict, cleared by each restart; read by decisions.
         self._restart_due = False
@@ -483,56 +483,53 @@ class Solver:
     def _backtrack_to(self, target: int) -> None:
         """Remove exactly the trail entries above target, wherever they sit.
 
-        The scan starts at trail_lim[target], the position where level
-        target + 1 opened: no entry before it is above target, so the prefix
-        is never re-read, however long the trail.  From there, entries at or
-        below target (left behind by chronological backtracks) shift down in
-        order and the rest are erased.  An erased variable goes onto the
-        decision heap only when its newest entry is gone or carries an older
-        activity.  The erased literals go to the phase selector in one call,
-        in reverse assignment order.  The propagation head rewinds to the
-        scan start, which in the search is the first removed position:
-        surviving entries that shift down may be rescanned, which is
-        idempotent."""
+        One pass from trail_lim[target], the position where level target + 1
+        opened: no entry before it is above target, so the prefix is never
+        re-read, however long the trail.  In that pass, entries at or below
+        target (left behind by chronological backtracks) shift down in order
+        and every other entry is erased on the spot: its value slots and
+        reason are cleared and its variable goes onto the decision heap when
+        its newest entry there is gone or carries an older activity.  The
+        erased literals then go to the phase selector in one call, in
+        reverse assignment order.  The propagation head rewinds to the scan
+        start, the first removed position: surviving entries that shift down
+        are rescanned, so a clause watched by one of them and a literal
+        erased here is looked at again."""
+        self.decision_level = target
+        trail_lim = self.trail_lim
+        if target >= len(trail_lim):
+            return
+        i = trail_lim[target]
+        del trail_lim[target:]
         trail = self.trail
         level = self.level
-        trail_lim = self.trail_lim
-        n = len(trail)
-        if target < len(trail_lim):
-            i = trail_lim[target]
-            del trail_lim[target:]
-        else:
-            i = n
-        if i < n:
-            value = self.value
-            reason = self.reason
-            acts = self.var_activity
-            heap = self.heap
-            heap_act = self.heap_act
-            removed = []
-            j = i
-            for k in range(i, n):
-                lit = trail[k]
-                if level[lit >> 1] <= target:
-                    trail[j] = lit
-                    j += 1
-                else:
-                    removed.append(lit)
-            del trail[j:]
-            removed.reverse()
-            for lit in removed:
-                v = lit >> 1
-                value[lit] = 0
-                value[lit ^ 1] = 0
-                reason[v] = None
-                a = acts[v]
-                if heap_act[v] != a:
-                    heap_act[v] = a
-                    heappush(heap, (-a, v))
-            self.phase.on_assignments_erased(removed)
-            if self.qhead > i:
-                self.qhead = i
-        self.decision_level = target
+        value = self.value
+        reason = self.reason
+        acts = self.var_activity
+        heap = self.heap
+        heap_act = self.heap_act
+        removed = []
+        j = i
+        for k in range(i, len(trail)):
+            lit = trail[k]
+            v = lit >> 1
+            if level[v] <= target:
+                trail[j] = lit
+                j += 1
+                continue
+            removed.append(lit)
+            value[lit] = 0
+            value[lit ^ 1] = 0
+            reason[v] = None
+            a = acts[v]
+            if heap_act[v] != a:
+                heap_act[v] = a
+                heappush(heap, (-a, v))
+        del trail[j:]
+        removed.reverse()
+        self.phase.on_assignments_erased(removed)
+        if self.qhead > i:
+            self.qhead = i
 
     # -- restarts and clause database -----------------------------------------
 
@@ -540,9 +537,9 @@ class Solver:
         """Evaluate the restart rule after a counted conflict.  Its inputs
         change only here and in _restart, so the verdict holds until the
         next decision made above level 0.  Only GLUCOSE keeps LBD state."""
-        self._conflicts_since_restart += 1
         if self.config.restart_policy is RestartPolicy.LUBY:
-            self._restart_due = self._conflicts_since_restart >= self._restart_budget
+            self._restart_budget -= 1
+            self._restart_due = self._restart_budget <= 0
             return
         recent = self._lbd_recent
         recent.append(lbd)
@@ -555,7 +552,6 @@ class Solver:
 
     def _restart(self) -> None:
         self.stats.restarts += 1
-        self._conflicts_since_restart = 0
         self._restart_budget = luby(self.stats.restarts) * self.config.luby_base
         self._restart_due = False
         self._lbd_recent.clear()
@@ -598,7 +594,9 @@ class Solver:
         verdict = self._search(None if limit is None else start + limit)
         model = None
         if verdict is Verdict.SAT:
-            model = self._extract_model()
+            # The search only returns SAT once no variable is unassigned.
+            value = self.value
+            model = [value[v << 1] > 0 for v in range(self.n_vars)]
             if not check_model(self.formula, model):
                 raise RuntimeError("internal error: produced model fails a clause")
         self.stats.wall_time_seconds = time.monotonic() - start
@@ -661,11 +659,6 @@ class Solver:
                 stats.decisions += 1
                 self.decision_level += 1
                 self._enqueue(2 * v + (0 if phase else 1), None, self.decision_level)
-
-    def _extract_model(self) -> List[bool]:
-        # The search only returns SAT once no variable is unassigned.
-        value = self.value
-        return [value[v << 1] > 0 for v in range(self.n_vars)]
 
 
 def solve_formula(

@@ -39,3 +39,77 @@ def debug_check_watches(solver: Solver) -> None:
         v0, v1 = solver.value[c.lits[0]], solver.value[c.lits[1]]
         if v0 < 0 and v1 < 0 and not any(solver.value[l] > 0 for l in c.lits):
             raise AssertionError(f"missed conflict or unit in {c!r}")
+
+
+def check_invariants(solver: Solver) -> None:
+    """Assert the solver's state at a conflict-free propagation fixpoint.
+
+    On top of debug_check_watches: the value table holds exactly the
+    trail's assignments; trail_lim has one entry per open level and no
+    entry before trail_lim[k] sits above level k; no clause is falsified
+    or unit; every reason holds its implied literal at position 0, with
+    the rest false; and an implied literal's level is the highest level
+    among its reason's other literals (the levels chronological
+    backtracking relies on; Möhle & Biere, "Backing Backtracking", SAT
+    2019).  A true literal above the levels of its clause's false ones (a
+    missed lower implication) is legal and not checked."""
+    debug_check_watches(solver)
+    value, level, reason = solver.value, solver.level, solver.reason
+    trail, trail_lim = solver.trail, solver.trail_lim
+
+    if solver.qhead != len(trail):
+        raise AssertionError(f"qhead {solver.qhead} short of trail end {len(trail)}")
+    on_trail = set(trail)
+    if len({lit >> 1 for lit in trail}) != len(trail):
+        raise AssertionError("a variable appears twice on the trail")
+    for lit in range(2 * solver.n_vars):
+        want = 1 if lit in on_trail else -1 if lit ^ 1 in on_trail else 0
+        if value[lit] != want:
+            raise AssertionError(f"value[{lit}] is {value[lit]}, expected {want}")
+
+    if len(trail_lim) != solver.decision_level:
+        raise AssertionError(
+            f"{len(trail_lim)} trail_lim entries at level {solver.decision_level}"
+        )
+    for k, lim in enumerate(trail_lim + [len(trail)]):
+        top = max((level[lit >> 1] for lit in trail[:lim]), default=0)
+        if top > k:
+            raise AssertionError(
+                f"an entry at level {top} sits before position {lim}, "
+                f"where level {k + 1} opens"
+            )
+
+    for c in solver.clauses + solver.learnts:
+        vals = [value[l] for l in c.lits]
+        if all(x < 0 for x in vals):
+            raise AssertionError(f"missed conflict: {c!r} is false")
+        if vals.count(0) == 1 and vals.count(-1) == len(vals) - 1:
+            raise AssertionError(f"missed unit: {c!r}")
+
+    for lit in trail:
+        r = reason[lit >> 1]
+        if r is None:
+            continue
+        if r.lits[0] != lit:
+            raise AssertionError(f"reason {r!r} of {lit} does not hold it first")
+        rest = r.lits[1:]
+        if any(value[l] >= 0 for l in rest):
+            raise AssertionError(f"reason {r!r} of {lit} has a non-false literal")
+        want = max(level[l >> 1] for l in rest)
+        if level[lit >> 1] != want:
+            raise AssertionError(
+                f"{lit} implied at level {level[lit >> 1]} by {r!r}, expected {want}"
+            )
+
+
+def check_conflict(solver: Solver, confl: Clause) -> None:
+    """Assert the solver's state when propagation returns a conflict.
+
+    confl is falsified, and the literal whose watchers found it is back at
+    the queue head (confl holds its negation), so its unvisited watchers
+    are scanned again if it survives the backtrack."""
+    if any(solver.value[l] >= 0 for l in confl.lits):
+        raise AssertionError(f"conflict {confl!r} is not falsified")
+    trail, qhead = solver.trail, solver.qhead
+    if qhead >= len(trail) or trail[qhead] ^ 1 not in confl.lits:
+        raise AssertionError(f"queue head {qhead} did not find conflict {confl!r}")

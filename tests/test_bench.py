@@ -1,6 +1,7 @@
 import csv
 import gc
 import os
+import re
 from dataclasses import fields, replace
 from enum import Enum
 
@@ -419,6 +420,12 @@ def test_run_suite_validation(tmp_path):
         run_suite(str(tmp_path), [("d", SolverConfig())], workers=0)
     with pytest.raises(ValueError):
         discover_instances([])
+
+
+def test_run_suite_rejects_a_path_that_is_not_a_directory(tmp_path):
+    path = _write(tmp_path, "some.cnf", SAT_TEXT)
+    with pytest.raises(ValueError, match=f"not a directory: {re.escape(path)}$"):
+        run_suite(path, [("d", SolverConfig())])
 
 
 def test_discover_instances_rejects_a_repeated_basename(tmp_path):

@@ -253,6 +253,15 @@ def test_bench_empty_corpus_exits_two(tmp_path):
     assert exc.value.code == 2
 
 
+def test_bench_on_a_file_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "some.cnf", SAT_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", path, "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert f"not a directory: {path}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_no_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -13,6 +13,8 @@ from chronosat.engine import Clause, Solver, luby, solve_formula
 from chronosat.gen import deep_conflict, pigeonhole, random_ksat
 from chronosat.model import (
     Formula,
+    PhaseHeuristic,
+    RestartPolicy,
     SolverConfig,
     Verdict,
     make_clause,
@@ -21,7 +23,7 @@ from chronosat.model import (
 from chronosat.phase import PhaseSelector
 from chronosat.verify import brute_force_solve, check_model
 
-from invariants import debug_check_watches
+from invariants import check_conflict, check_invariants, debug_check_watches
 
 
 def fml(nvars, clause_lists):
@@ -699,6 +701,97 @@ def test_watch_invariants_hold_after_solving():
         if r.verdict is Verdict.SAT:
             # an UNSAT end state legitimately holds a falsified clause
             debug_check_watches(s)
+
+
+class CheckedSolver(Solver):
+    """Checks the solver's state each time propagation returns."""
+
+    def _propagate(self):
+        confl = super()._propagate()
+        if confl is None:
+            check_invariants(self)
+        else:
+            check_conflict(self, confl)
+        return confl
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(8, 40),
+    st.sampled_from(list(PhaseHeuristic)),
+    st.sampled_from(list(RestartPolicy)),
+)
+def test_invariants_hold_at_every_propagation_under_chronological_backtracking(
+    seed, n, heuristic, policy
+):
+    # T=0, C=0: every conflict that jumps more than one level backtracks
+    # chronologically, so trails are non-monotonic in level.  A small Luby
+    # base and clause-DB limit bring restarts and reductions in too.
+    f = random_ksat(n, ratio=4.3, seed=seed)
+    cfg = SolverConfig(
+        cb_threshold_t=0,
+        cb_min_conflicts_c=0,
+        ncb_phase_heuristic=heuristic,
+        cb_phase_heuristic=heuristic,
+        restart_policy=policy,
+        luby_base=2,
+        clause_db_init_limit=8,
+        random_seed=seed,
+    )
+    CheckedSolver(f, cfg).solve()
+
+
+def test_check_invariants_rejects_a_broken_state():
+    s = Solver(fml(3, [[1, 2], [-1, 3]]))
+    s.decision_level = 1
+    s._enqueue(lit(1), None, 1)
+    assert s._propagate() is None
+    check_invariants(s)
+    assert s.trail == [lit(1), lit(3)]
+    s.level[2] = 0
+    with pytest.raises(AssertionError, match="implied at level 0"):
+        check_invariants(s)
+    s.level[2] = 1
+    s.clauses[1].lits.reverse()
+    with pytest.raises(AssertionError, match="does not hold it first"):
+        check_invariants(s)
+    s.clauses[1].lits.reverse()
+    s.value[lit(-3)] = 0
+    with pytest.raises(AssertionError, match="value"):
+        check_invariants(s)
+    s.value[lit(-3)] = -1
+    s.trail_lim.append(2)
+    with pytest.raises(AssertionError, match="trail_lim entries"):
+        check_invariants(s)
+    s.trail_lim.pop()
+    s.level[0] = 2
+    with pytest.raises(AssertionError, match="level 2 sits before"):
+        check_invariants(s)
+    s.level[0] = 1
+    s.trail.pop()
+    s.qhead -= 1
+    s.value[lit(3)] = s.value[lit(-3)] = 0
+    s.reason[2] = None
+    with pytest.raises(AssertionError, match="missed unit"):
+        check_invariants(s)
+    s._enqueue(lit(-3), None, 1)
+    s.qhead += 1
+    with pytest.raises(AssertionError, match="missed conflict"):
+        check_invariants(s)
+
+
+def test_check_conflict_rejects_a_queue_head_off_the_conflict():
+    s = Solver(fml(3, [[1, 2], [1, 3], [-2, -3]]))
+    s.decision_level = 1
+    s._enqueue(lit(-1), None, 1)
+    confl = s._propagate()
+    assert confl is not None
+    check_conflict(s, confl)
+    for qhead in (0, len(s.trail)):
+        s.qhead = qhead
+        with pytest.raises(AssertionError, match="did not find conflict"):
+            check_conflict(s, confl)
 
 
 # -- trail inspection -----------------------------------------------------------
