@@ -9,21 +9,15 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from glob import escape, glob
 from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import engine
 from .dimacs import parse_dimacs_file
-from .model import (
-    Formula,
-    PhaseHeuristic,
-    SolveResult,
-    SolverConfig,
-    SolverStats,
-    Verdict,
-)
+from .model import Formula, SolveResult, SolverConfig, SolverStats, Verdict
+from .phase import search_key
 
 COUNTER_NAMES = [name for name, _ in SolverStats().counter_items()]
 CSV_HEADER = [
@@ -80,48 +74,23 @@ def par2_score(records: Sequence[RunRecord], time_limit: float) -> float:
     return total / len(records)
 
 
-def search_key(config: SolverConfig) -> tuple:
-    """Values of the config fields that its search reads before its first
-    decision in CB state (one made while the last backtrack was
-    chronological).
-
-    Only such a decision reads cb_phase_heuristic.  The RNG is drawn, and
-    the DPS and LSIDS state read, only by their own heuristic, so
-    random_seed and dps_decay count only when the ncb heuristic uses them.
-    Two configurations with one key search identically up to that decision,
-    and to the end when there is none.
-    """
-    ncb = config.ncb_phase_heuristic
-    skip = {"cb_phase_heuristic"}
-    if ncb is not PhaseHeuristic.RANDOM:
-        skip.add("random_seed")
-    if ncb is not PhaseHeuristic.DPS:
-        skip.add("dps_decay")
-    return tuple(
-        getattr(config, f.name) for f in fields(config) if f.name not in skip
-    )
-
-
-# Set by `_run_file` to (path, formula, searches) for its file's jobs, and
-# None between files.  formula is None for a file that did not parse;
-# searches maps a search key (see `search_key`) to a SAT or UNSAT result on
-# this formula that made no decision in CB state.  `run_instance` and
-# `solve_formula` keep their signatures because callers wrap them by
-# attribute, so the parsed formula and the file's shared searches reach
-# them here and never outlive the file's jobs.
+# The per-file context: `_run_file` sets it to (path, formula, searches)
+# while its file's jobs run, and back to None when they end, however they
+# end; each worker process holds its own.  formula is the file parsed once,
+# or None when it did not parse; searches maps a `search_key` to a shared
+# result on this formula (the sharing rule is in `search_key`'s docstring).
+# `run_instance` and `solve_formula` keep their signatures because callers
+# wrap them by attribute, so the formula and the searches reach them here.
 _current_file: Optional[Tuple[str, Optional[Formula], Dict[tuple, SolveResult]]] = None
 
 
 def solve_formula(formula: Formula, config: SolverConfig) -> SolveResult:
     """`engine.solve_formula`, sharing searches between a file's jobs.
 
-    While `_run_file` runs a file's jobs, a call on that file's parsed
-    formula whose config has the search key (see `search_key`) of an
-    earlier call's gets a copy of that call's result (verdict, model and
-    stats, wall time included) when that search ended SAT or UNSAT without
-    a decision in CB state: the two searches are the same search.  Any
-    other call, on another formula or outside `_run_file`, solves and
-    stores nothing.
+    A call on the formula of the per-file context (see `_current_file`)
+    looks its search up, and stores it, under `search_key` and its sharing
+    rule; a shared result comes back as a copy of the verdict, model and
+    stats.  Any other call solves and stores nothing.
     """
     file = _current_file
     if file is None or formula is not file[1]:
@@ -141,13 +110,10 @@ def solve_formula(formula: Formula, config: SolverConfig) -> SolveResult:
 def run_instance(path: str, label: str, config: SolverConfig) -> RunRecord:
     """Solve one DIMACS file; failures become an ERROR record, not a crash.
 
-    Called on its own, it always parses and solves the file.  While
-    `_run_file` runs the jobs of this path, it takes that file's parsed
-    formula from the per-file context instead (an ERROR row when the file
-    did not parse), and its `solve_formula` call may return a copy of an
-    earlier job's identical search, whose time_s it then reports.
-    Parsing, construction and search pause the cyclic collector themselves
-    (see `model._collector_paused`).
+    Called on its own, it parses and solves the file.  For the path of the
+    per-file context (see `_current_file`) it takes the parsed formula from
+    there instead, an ERROR row when the file did not parse, and reports
+    the time_s of whatever `solve_formula` returns, a shared copy included.
     """
     name = os.path.basename(path)
     file = _current_file
@@ -220,24 +186,13 @@ def run_suite(
 ) -> List[RunRecord]:
     """Run every configuration on every instance.
 
-    Jobs are grouped per file: each file is parsed once per suite, and
-    while its jobs run, one per-file context, (path, formula, searches),
-    gives `run_instance` the parsed formula and `solve_formula` the file's
-    shared searches; it is cleared when the file's jobs end, however they
-    end.  Configurations that differ only in what a search reads at its
-    first decision in CB state (the cb heuristic, and the RNG seed or DPS
-    decay when only it uses them; see `search_key`) share a search: when a
-    file's search under one of them ends SAT or UNSAT without a CB-state
-    decision, every later one takes a copy of its result, time_s included,
-    as it would have made the same search.  Timeouts, errors and searches
-    with a CB-state decision are never shared.  Every job still runs
-    through `run_instance` and `solve_formula`.  The library calls a job
-    makes (parse, construction, search) pause the cyclic collector
-    themselves.  Rows come back sorted by (instance, configLabel)
-    regardless of worker scheduling, so suite output is stable and
-    counters are deterministic.  With workers > 1 the files run in up to
-    that many spawned processes, one task per file, each with its own
-    per-file context.
+    Jobs are grouped per file: each file is parsed once per suite and its
+    jobs run through `run_instance` under one per-file context (see
+    `_current_file`), so configurations with one `search_key` may share a
+    search.  Rows come back sorted by (instance, configLabel) regardless of
+    worker scheduling, so suite output is stable and counters are
+    deterministic.  With workers > 1 the files run in up to that many
+    spawned processes, one task per file.
     """
     paths = discover_instances(instances)
     if not configs:

@@ -232,10 +232,14 @@ class Solver:
         write index with its blocker refreshed, and one that moves to a new
         literal is appended there as a (clause, blocker) pair.
 
-        On conflict the queue head is rewound one step so the interrupted
-        literal is rescanned after backtracking: under chronological
-        backtracking that literal may survive the backtrack, and its
-        remaining watchers were not yet examined.
+        On conflict the queue head is rewound one step, to the interrupted
+        literal, so its unvisited watchers are scanned again if it survives
+        a backtrack.  This serves direct calls on hand-built states, such
+        as several levels enqueued before any propagation.  In search
+        _backtrack_to's rewind already covers it: propagation starts at or
+        after trail_lim[-1], the interrupted literal sits there or later,
+        and every conflict above level 0 backtracks to a target below the
+        current level, whose trail_lim entry is no later.
         """
         value = self.value
         watches = self.watches
@@ -265,9 +269,8 @@ class Solver:
                 # could mask a clause whose watches are both false, and its
                 # later falsification would never rescan this clause.
                 if value[blocker] > 0 and level[blocker >> 1] <= plevel:
-                    if i != j:  # until a watcher moves, it is already in place
-                        wl[j] = wl[i]
-                        wl[j + 1] = blocker
+                    wl[j] = wl[i]
+                    wl[j + 1] = blocker
                     i += 2
                     j += 2
                     continue

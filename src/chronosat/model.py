@@ -97,15 +97,16 @@ class Formula:
         # A literal is in range when 0 <= l < 2 * variable_count.  One min
         # and one max over all literals decide it (a min and a max per
         # clause cost more than a Python comparison per literal), and only a
-        # failure is walked literal by literal to name the first offender.
+        # failure is walked literal by literal to name the first offender: a
+        # negative one has no DIMACS spelling, so its encoded value is named.
         lits = list(chain.from_iterable(self.clauses))
         if lits and (min(lits) < 0 or max(lits) >= 2 * self.variable_count):
             for c in self.clauses:
                 for l in c:
                     if not (0 <= l >> 1 < self.variable_count):
+                        name = f"literal {lit_to_dimacs(l)}" if l >= 0 else f"encoded literal {l}"
                         raise ValueError(
-                            f"literal {lit_to_dimacs(l)} out of range for "
-                            f"{self.variable_count} variables"
+                            f"{name} out of range for {self.variable_count} variables"
                         )
 
     @property

@@ -32,9 +32,10 @@ a batch shrinks the increment for the literals after it.
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from typing import List, Optional, Sequence
 
-from .model import PhaseHeuristic, SolverConfig, SolverStats
+from .model import PhaseHeuristic, SolverConfig, SolverStats, make_literal
 
 LSIDS_ERASE_MULT = 2.0
 LSIDS_LEARNT_MULT = 0.5
@@ -81,7 +82,7 @@ class PhaseSelector:
 
     def on_assignment_erased(self, var: int, polarity: bool) -> None:
         """One erased assignment; see on_assignments_erased."""
-        self.on_assignments_erased((2 * var + (0 if polarity else 1),))
+        self.on_assignments_erased((make_literal(var, polarity),))
 
     def on_clause_learnt(self, lits: Sequence[int]) -> None:
         """Called once per conflict with the final learnt clause; bumps
@@ -141,3 +142,31 @@ class PhaseSelector:
         if heuristic is PhaseHeuristic.DPS:
             return self.dps[var] > 0.0
         raise ValueError(f"unhandled heuristic {heuristic!r}")
+
+
+def search_key(config: SolverConfig) -> tuple:
+    """Values of the config fields that its search reads before its first
+    decision in CB state (one made while the last backtrack was
+    chronological).
+
+    Only such a decision reads cb_phase_heuristic (see select_phase).  The
+    RNG is drawn, and the DPS and LSIDS state read, only when their own
+    heuristic decides, so random_seed and dps_decay count only when the ncb
+    heuristic uses them.  Two configurations with one key search
+    identically up to that decision, and to the end when there is none.
+
+    The benchmark harness shares searches by this key: while it runs one
+    file's jobs, a job whose key matches an earlier job's gets a copy of
+    that job's result, wall time included, when that search ended SAT or
+    UNSAT without a decision in CB state.  Timeouts, errors and searches
+    with a CB-state decision are never shared.
+    """
+    ncb = config.ncb_phase_heuristic
+    skip = {"cb_phase_heuristic"}
+    if ncb is not PhaseHeuristic.RANDOM:
+        skip.add("random_seed")
+    if ncb is not PhaseHeuristic.DPS:
+        skip.add("dps_decay")
+    return tuple(
+        getattr(config, f.name) for f in fields(config) if f.name not in skip
+    )

@@ -102,6 +102,20 @@ def check_invariants(solver: Solver) -> None:
             )
 
 
+def check_queue_start(solver: Solver) -> None:
+    """Assert the solver's state when propagation starts: the queue head
+    is at or after trail_lim[-1], where the current level opened.
+
+    So the literal a conflict interrupts sits at or after that position,
+    and the backtrack that follows rewinds the head to it or earlier
+    without the conflict-time rewind."""
+    if solver.trail_lim and solver.qhead < solver.trail_lim[-1]:
+        raise AssertionError(
+            f"queue head {solver.qhead} before position {solver.trail_lim[-1]}, "
+            f"where level {len(solver.trail_lim)} opens"
+        )
+
+
 def check_conflict(solver: Solver, confl: Clause) -> None:
     """Assert the solver's state when propagation returns a conflict.
 

@@ -23,7 +23,12 @@ from chronosat.model import (
 from chronosat.phase import PhaseSelector
 from chronosat.verify import brute_force_solve, check_model
 
-from invariants import check_conflict, check_invariants, debug_check_watches
+from invariants import (
+    check_conflict,
+    check_invariants,
+    check_queue_start,
+    debug_check_watches,
+)
 
 
 def fml(nvars, clause_lists):
@@ -704,9 +709,10 @@ def test_watch_invariants_hold_after_solving():
 
 
 class CheckedSolver(Solver):
-    """Checks the solver's state each time propagation returns."""
+    """Checks the solver's state each time propagation starts and returns."""
 
     def _propagate(self):
+        check_queue_start(self)
         confl = super()._propagate()
         if confl is None:
             check_invariants(self)
@@ -792,6 +798,21 @@ def test_check_conflict_rejects_a_queue_head_off_the_conflict():
         s.qhead = qhead
         with pytest.raises(AssertionError, match="did not find conflict"):
             check_conflict(s, confl)
+
+
+def test_check_queue_start_rejects_a_head_before_the_open_level():
+    s = Solver(fml(4, [[1, 2], [-2, 3]]))
+    check_queue_start(s)
+    s.decision_level = 1
+    s._enqueue(lit(-1), None, 1)
+    check_queue_start(s)
+    assert s._propagate() is None
+    s.decision_level = 2
+    s._enqueue(lit(4), None, 2)
+    check_queue_start(s)
+    s.qhead = 0
+    with pytest.raises(AssertionError, match="before position 3, where level 2 opens"):
+        check_queue_start(s)
 
 
 # -- trail inspection -----------------------------------------------------------

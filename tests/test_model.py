@@ -82,6 +82,18 @@ def test_formula_rejects_negative_literal():
         Formula(2, [(0, 3), (2, -1)])
 
 
+def test_formula_names_a_negative_literal_by_its_encoded_value():
+    # A negative encoded literal has no DIMACS spelling; lit_to_dimacs would
+    # call -3 "1" and -1 "0".
+    for n, clauses, name in [
+        (3, [(0, -3)], "encoded literal -3"),
+        (2, [(0, 3), (2, -1)], "encoded literal -1"),
+        (1, [(0, 3)], "literal -2"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} out of range for {n} variables$"):
+            Formula(n, clauses)
+
+
 def test_negative_variable_index_rejected():
     with pytest.raises(ValueError):
         make_literal(-1, True)

@@ -250,6 +250,15 @@ def test_dispatch_uses_mode_specific_heuristic():
     assert stats.cb_state_decisions == 1
 
 
+def test_erasing_a_negative_variable_is_rejected():
+    sel, _ = selector(n_vars=3, ncb_phase_heuristic="dps", cb_phase_heuristic="lsids")
+    with pytest.raises(ValueError):
+        sel.on_assignment_erased(-1, True)
+    assert sel.saved == [False, False, False]
+    assert sel.dps == [0.0, 0.0, 0.0]
+    assert sel.lsids_activity == [0.0] * 6
+
+
 def test_state_kept_only_for_configured_heuristics():
     # Saved phases are always kept (lsids_differs_saved reads them); DPS and
     # LSIDS state exist only when a configured heuristic reads them.
