@@ -13,16 +13,25 @@ terminating 0 is reported only after the whole body has been read.
 Warnings come in file order, each tautology at the line of its
 terminating 0, and the clause count mismatch last.
 
-The clause body is tokenized in one pass: the data lines are joined and
-split once, each distinct token goes through int() once, and the token
-list is mapped to literals through that table.  When every clause has one
-width k (every (k+1)-th literal is a terminator, and no others), the
-clauses are cut out by columns: the k strided slices of the literal tuple
-are zipped into rows, and a pairwise comparison of their variable columns
-finds a clause that repeats a variable.  Mixed widths, or any repeated
-variable, send the whole file through a clause-by-clause loop, which
-merges duplicates and drops tautologies.  Line numbers are worked out only
-for a report, as one table of each token's line.
+The clause body is tokenized in one pass: the lines after the header are
+joined and split once (comment lines are filtered out first, only when the
+body holds a 'c' at all), and the token list is mapped to literals through
+one table.  The table starts from the header: the canonical spelling of
+every literal it allows ('1', '-1', ..., and '0' for the terminator), but
+only when the body has at least 2 * nvars tokens, so the table never
+outgrows the token list.  A token missing from it (another spelling int()
+reads, such as '+1' or '01', junk, or an out-of-range literal) goes through
+int() once per distinct token, which extends the table or reports the
+error.
+
+When every clause has one width k (every (k+1)-th literal is a terminator,
+and no others), the clauses are cut out by columns: the k strided slices
+of the literal tuple are zipped into rows, and a pairwise comparison of
+their variable columns finds a clause that repeats a variable.  Mixed
+widths, or any repeated variable, send the whole file through a
+clause-by-clause loop, which merges duplicates and drops tautologies.
+Line numbers are worked out only for a report, as one table of each
+token's line.
 """
 
 from __future__ import annotations
@@ -41,6 +50,9 @@ from .model import (
 )
 
 MAX_VALUE_LINE_CHARS = 4096
+
+# A UTF-8 byte-order mark, dropped from the start of either input format.
+_BOM = "\ufeff"
 
 # Stands for a clause-ending 0 in the token stream; literals are >= 0.
 _END = -1
@@ -65,11 +77,13 @@ def parse_dimacs(
     reads them, so '+1' and '01' are literal 1 and '-0' ends a clause.
     Tautological clauses are dropped with a warning; duplicate literals
     within a clause are merged.  An explicit empty clause is kept (the
-    formula is trivially UNSAT).  The cyclic collector is paused,
-    process-wide, for the duration of the call.
+    formula is trivially UNSAT).  A leading byte-order mark is dropped.
+    The cyclic collector is paused, process-wide, for the duration of the
+    call.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
+    text = text.removeprefix(_BOM)
 
     lines = text.splitlines()
     last_line = max(len(lines), 1)
@@ -94,37 +108,51 @@ def parse_dimacs(
         raise DimacsError(last_line, "missing 'p cnf' header")
 
     # A second 'p' line stays in the body: its first token is never an int,
-    # so it is met in file order like any bad token.
-    body = [
-        line
-        for line in map(str.strip, lines[header_line:])
-        if line and line[0] != "c"
-    ]
-    tokens = " ".join(body).split()
+    # so it is met in file order like any bad token.  Without a 'c' in the
+    # body no line can be a comment, and blank lines hold no tokens.
+    body = "\n".join(lines[header_line:])
+    if "c" in body:
+        body = "\n".join(
+            line
+            for line in map(str.strip, lines[header_line:])
+            if line and line[0] != "c"
+        )
+    tokens = body.split()
+    # Every literal the header allows, in its canonical spelling, unless
+    # that would outnumber the tokens: the table never outgrows the body.
     lit_of = {}
-    bad = {}
-    for tok in set(tokens):
-        try:
-            n = int(tok)
-        except ValueError:
-            bad[tok] = f"invalid token {tok!r}"
-            continue
-        if n == 0:
-            lit_of[tok] = _END
-        elif abs(n) > nvars:
-            bad[tok] = f"literal {n} exceeds declared variable count {nvars}"
-        else:
-            lit_of[tok] = 2 * n - 2 if n > 0 else -2 * n - 1
-    if bad:
-        at = _token_lines(lines, header_line)
-        i, tok = next((i, tok) for i, tok in enumerate(tokens) if tok in bad)
-        if tok == "p" and (i == 0 or at[i - 1] != at[i]):
-            raise DimacsError(at[i], "duplicate 'p' header")
-        raise DimacsError(at[i], bad[tok])
-
-    # Tuples, so that a slice is already a clause.  The token strings are
-    # the parse's largest transient, so they go before any clause is built.
-    lits = tuple(map(lit_of.__getitem__, tokens))
+    if 2 * nvars <= len(tokens):
+        lit_of.update(zip(map(str, range(1, nvars + 1)), range(0, 2 * nvars, 2)))
+        lit_of.update(zip(map(str, range(-1, -nvars - 1, -1)), range(1, 2 * nvars, 2)))
+        lit_of["0"] = _END
+    try:
+        # Tuples, so that a slice is already a clause.
+        lits = tuple(map(lit_of.__getitem__, tokens))
+    except KeyError:
+        # Other spellings int() reads ('+1', '01', '-0'), junk and
+        # out-of-range literals: int() once per distinct such token.
+        bad = {}
+        for tok in set(tokens).difference(lit_of):
+            try:
+                n = int(tok)
+            except ValueError:
+                bad[tok] = f"invalid token {tok!r}"
+                continue
+            if n == 0:
+                lit_of[tok] = _END
+            elif abs(n) > nvars:
+                bad[tok] = f"literal {n} exceeds declared variable count {nvars}"
+            else:
+                lit_of[tok] = 2 * n - 2 if n > 0 else -2 * n - 1
+        if bad:
+            at = _token_lines(lines, header_line)
+            i, tok = next((i, tok) for i, tok in enumerate(tokens) if tok in bad)
+            if tok == "p" and (i == 0 or at[i - 1] != at[i]):
+                raise DimacsError(at[i], "duplicate 'p' header") from None
+            raise DimacsError(at[i], bad[tok]) from None
+        lits = tuple(map(lit_of.__getitem__, tokens))
+    # The token strings are the parse's largest transient, so they go
+    # before any clause is built.
     del tokens
     if lits and lits[-1] != _END:
         raise DimacsError(last_line, "clause missing terminating 0 at end of input")
@@ -210,12 +238,13 @@ def parse_model(text: str, variable_count: int) -> List[bool]:
 
     Comment ('c') and status ('s') lines are skipped, a 0 ends the model,
     and every variable must be assigned exactly once, so the output of
-    render_result reads back as its model.
+    render_result reads back as its model.  A leading byte-order mark is
+    dropped.
     """
     model: List[Optional[bool]] = [None] * variable_count
     done = False
     lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix(_BOM).splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] in "cs":
             continue

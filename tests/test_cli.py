@@ -183,6 +183,14 @@ def test_verify_full_solver_output_as_model(tmp_path):
     assert main(["verify", cnf, model]) == 0
 
 
+def test_verify_reads_files_that_start_with_a_byte_order_mark(tmp_path):
+    cnf = tmp_path / "s.cnf"
+    cnf.write_text(SAT_TEXT, encoding="utf-8-sig")
+    model = tmp_path / "m.txt"
+    model.write_text("v -1 2 0\n", encoding="utf-8-sig")
+    assert main(["verify", str(cnf), str(model)]) == 0
+
+
 def test_verify_falsifying_model_exits_one(tmp_path, capsys):
     cnf = write(tmp_path, "s.cnf", SAT_TEXT)
     model = write(tmp_path, "m.txt", "1 2 0\n")  # violates the unit clause -1

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -166,6 +167,78 @@ def test_parse_tokens_read_as_int_reads_them():
     # '+1' and '01' are both variable 1, and '-0' is a terminator.
     f, warnings = parse_dimacs("p cnf 2 2\n+1 01 -02 -0\n+02 0\n")
     assert clause_ints(f) == [[1, -2], [2]]
+    assert warnings == []
+
+
+def test_parse_literal_table_is_bounded_by_the_tokens():
+    # A literal table sized from the header alone would hold 2 * 10**8
+    # entries for this three-token body.
+    tracemalloc.start()
+    try:
+        f, warnings = parse_dimacs("p cnf 100000000 1\n1 -100000000 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.clauses == [(0, 199999999)]
+    assert warnings == []
+    assert peak < 1 << 20
+
+
+# Ten variables and 21 tokens before the last line: at least 2 * nvars
+# tokens, so the literal table starts from the header's canonical spellings.
+_CANONICAL = "p cnf 10 8\n" + "1 -10 0\n" * 7
+
+
+@pytest.mark.parametrize(
+    "last, clause",
+    [
+        ("+1 -10 0", [1, -10]),
+        ("01 -010 0", [1, -10]),
+        ("1 -10 -0", [1, -10]),
+        ("1_0 -1 0", [10, -1]),
+        ("10 1 0", [10, 1]),
+    ],
+    ids=["plus", "leading-zero", "minus-zero", "underscore", "canonical"],
+)
+def test_parse_other_spellings_beside_the_literal_table(last, clause):
+    f, warnings = parse_dimacs(_CANONICAL + last + "\n")
+    assert clause_ints(f) == [[1, -10]] * 7 + [clause]
+    assert warnings == []
+
+
+@pytest.mark.parametrize(
+    "last, message",
+    [
+        ("+11 0", "literal 11 exceeds declared variable count 10"),
+        ("-1_1 0", "literal -11 exceeds declared variable count 10"),
+        ("1__0 0", "invalid token '1__0'"),
+    ],
+    ids=["plus", "underscore", "junk"],
+)
+def test_parse_bad_tokens_beside_the_literal_table(last, message):
+    with pytest.raises(DimacsError, match=f"^line 9: {message}$"):
+        parse_dimacs(_CANONICAL + last + "\n")
+
+
+def test_parse_comment_after_header_beside_the_literal_table():
+    f, warnings = parse_dimacs(_CANONICAL + "c one more\n2 0\n")
+    assert clause_ints(f) == [[1, -10]] * 7 + [[2]]
+    assert warnings == []
+
+
+def test_parse_junk_token_holding_a_c_names_its_line():
+    with pytest.raises(DimacsError, match="^line 9: invalid token '2c'$"):
+        parse_dimacs(_CANONICAL + "1 2c 0\n")
+
+
+@pytest.mark.parametrize("encode", [False, True], ids=["str", "bytes"])
+def test_parse_drops_a_leading_byte_order_mark(encode):
+    text = "\ufeffp cnf 1 1\n1 x 0\n"
+    with pytest.raises(DimacsError, match="^line 2: invalid token 'x'$"):
+        parse_dimacs(text.encode() if encode else text)
+    text = text.replace(" x", "")
+    f, warnings = parse_dimacs(text.encode() if encode else text)
+    assert clause_ints(f) == [[1]]
     assert warnings == []
 
 
@@ -368,6 +441,12 @@ def test_render_wraps_value_lines():
 def test_parse_model_rejection_names_its_line(text, match):
     with pytest.raises(DimacsError, match=match):
         parse_model(text, 2)
+
+
+def test_parse_model_drops_a_leading_byte_order_mark():
+    assert parse_model("\ufeffv 1 -2 0\n", 2) == [True, False]
+    with pytest.raises(DimacsError, match="^line 2: invalid literal 'x'$"):
+        parse_model("\ufeffv 1\nv x 0\n", 2)
 
 
 @settings(deadline=None, max_examples=40)
