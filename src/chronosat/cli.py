@@ -2,15 +2,18 @@
 
 Exit codes follow SAT-competition convention for `solve` (10 SAT, 20 UNSAT,
 0 unknown/timeout); `bench` exits 0 on completion; `verify` exits 0 when the
-model satisfies the formula and 1 when it does not.  Usage and input errors
-exit 2 with a diagnostic on stderr.  Both text formats, DIMACS CNF and
-competition-style results, are parsed and rendered in `dimacs`.
+model satisfies the formula and 1 when it does not.  Usage and input errors,
+and a `bench --out` path that cannot be written, exit 2 with a diagnostic
+on stderr.  Both text formats, DIMACS CNF and competition-style results,
+are parsed and rendered in `dimacs`; files are handed to it as bytes, so
+decoding and the line rule are stated there alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from typing import Callable, List, Optional, TypeVar
 
@@ -79,10 +82,10 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(str(exc))
 
 
-def _read(path: str, parse: Callable[[str], _T], parser: argparse.ArgumentParser) -> _T:
-    """Parse a text file; an unreadable or malformed one is a usage error."""
+def _read(path: str, parse: Callable[[bytes], _T], parser: argparse.ArgumentParser) -> _T:
+    """Parse a file's bytes; an unreadable or malformed file is a usage error."""
     try:
-        with open(path, encoding="utf-8", errors="replace") as fh:
+        with open(path, "rb") as fh:
             return parse(fh.read())
     except OSError as exc:
         parser.error(f"cannot read {path}: {exc.strerror or exc}")
@@ -106,6 +109,15 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     config = _build_config(args, parser)
     label = args.label or args.preset or "custom"
+    # Fail before the suite runs, not after it.  Appending checks the path
+    # without truncating a CSV that is already there.
+    created = not os.path.lexists(args.out)
+    try:
+        open(args.out, "a").close()
+    except OSError as exc:
+        parser.error(f"cannot write {args.out}: {exc.strerror or exc}")
+    if created:
+        os.remove(args.out)
     try:
         records = run_suite(args.corpus, [(label, config)], workers=args.workers)
     except ValueError as exc:

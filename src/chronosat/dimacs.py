@@ -1,5 +1,13 @@
 """The two text formats: DIMACS CNF input and competition-style results.
 
+Both readers, parse_dimacs and parse_model, take str or bytes and split
+it into lines one way: bytes are decoded as UTF-8 (an undecodable byte
+becomes U+FFFD), one leading byte-order mark is dropped, and a line ends
+only at '\\n', '\\r\\n' or '\\r'.  Other Unicode line breaks ('\\v', '\\f',
+'\\x1c'-'\\x1e', '\\x85', U+2028, U+2029) are whitespace inside a line, so
+a comment that holds one stays a comment.  A line that is blank or starts
+with 'c' (for a model, 'c' or 's') after stripping holds no data.
+
 A CNF header/body clause-count mismatch is a warning, not an error.  Hard
 errors (bad header, literal out of range, junk tokens, missing clause
 terminator, malformed model) raise DimacsError with a 1-based line number.
@@ -38,7 +46,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from operator import eq
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .model import (
     Formula,
@@ -81,16 +89,9 @@ def parse_dimacs(
     The cyclic collector is paused, process-wide, for the duration of the
     call.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8", errors="replace")
-    text = text.removeprefix(_BOM)
-
-    lines = text.splitlines()
+    lines = _lines(text)
     last_line = max(len(lines), 1)
-    for header_line, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line[0] == "c":
-            continue
+    for header_line, line in _data_lines(lines):
         if line[0] != "p":
             raise DimacsError(header_line, "clause data before 'p cnf' header")
         parts = line.split()
@@ -112,11 +113,7 @@ def parse_dimacs(
     # body no line can be a comment, and blank lines hold no tokens.
     body = "\n".join(lines[header_line:])
     if "c" in body:
-        body = "\n".join(
-            line
-            for line in map(str.strip, lines[header_line:])
-            if line and line[0] != "c"
-        )
+        body = "\n".join(line for _, line in _data_lines(lines, header_line))
     tokens = body.split()
     # Every literal the header allows, in its canonical spelling, unless
     # that would outnumber the tokens: the table never outgrows the body.
@@ -221,11 +218,39 @@ def _token_lines(lines: List[str], header_line: int) -> List[int]:
     for the body that follows the header on line header_line: blank and
     comment lines are skipped as parse_dimacs skips them."""
     at: List[int] = []
-    for lineno, raw in enumerate(lines[header_line:], start=header_line + 1):
-        line = raw.strip()
-        if line and line[0] != "c":
-            at += [lineno] * len(line.split())
+    for lineno, line in _data_lines(lines, header_line):
+        at += [lineno] * len(line.split())
     return at
+
+
+def _lines(text: Union[str, bytes]) -> List[str]:
+    """The lines of either text format, split by the module docstring's rule.
+
+    Not by str's own line splitter: it also ends a line at '\\v', '\\f',
+    '\\x1c'-'\\x1e', '\\x85', U+2028 and U+2029, so the tail of a comment
+    holding one would be read as clause data.  Kept inside a line, they are
+    whitespace to str.split() and str.strip().  Text that ends in a line end
+    has no empty last line.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8", errors="replace")
+    text = text.removeprefix(_BOM)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _data_lines(
+    lines: List[str], start: int = 0, skip: str = "c"
+) -> Iterator[Tuple[int, str]]:
+    """(1-based line number, stripped line) for each line from index start
+    on that is not blank and does not start with a character of skip."""
+    for lineno, line in enumerate(map(str.strip, lines[start:]), start=start + 1):
+        if line and line[0] not in skip:
+            yield lineno, line
 
 
 def parse_dimacs_file(path) -> Tuple[Formula, List[Tuple[int, str]]]:
@@ -233,21 +258,18 @@ def parse_dimacs_file(path) -> Tuple[Formula, List[Tuple[int, str]]]:
         return parse_dimacs(fh.read())
 
 
-def parse_model(text: str, variable_count: int) -> List[bool]:
+def parse_model(text: Union[str, bytes], variable_count: int) -> List[bool]:
     """Read a model as signed literals, either bare or on 'v' lines.
 
     Comment ('c') and status ('s') lines are skipped, a 0 ends the model,
     and every variable must be assigned exactly once, so the output of
-    render_result reads back as its model.  A leading byte-order mark is
-    dropped.
+    render_result reads back as its model.  Lines are split as parse_dimacs
+    splits them, and a leading byte-order mark is dropped.
     """
     model: List[Optional[bool]] = [None] * variable_count
     done = False
-    lineno = 0
-    for lineno, raw in enumerate(text.removeprefix(_BOM).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] in "cs":
-            continue
+    lines = _lines(text)
+    for lineno, line in _data_lines(lines, skip="cs"):
         tokens = line.split()
         if tokens[0] == "v":
             del tokens[0]
@@ -271,7 +293,7 @@ def parse_model(text: str, variable_count: int) -> List[bool]:
     missing = [v + 1 for v, value in enumerate(model) if value is None]
     if missing:
         raise DimacsError(
-            max(lineno, 1), f"model does not assign variable(s) {missing[:5]}"
+            max(len(lines), 1), f"model does not assign variable(s) {missing[:5]}"
         )
     return model
 

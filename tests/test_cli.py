@@ -109,6 +109,14 @@ def test_parser_warnings_go_to_stderr(tmp_path, capsys):
     assert "c warning" not in captured.out
 
 
+def test_solve_reads_a_comment_holding_a_form_feed_as_a_comment(tmp_path, capsys):
+    path = write(tmp_path, "f.cnf", "p cnf 1 2\nc note\f-1 0\n1 0\n")
+    rc = main(["solve", path])
+    captured = capsys.readouterr()
+    assert rc == 10
+    assert "c warning: line 3: header declares 2 clauses, found 1" in captured.err
+
+
 # -- presets and determinism ------------------------------------------------------
 
 
@@ -191,6 +199,12 @@ def test_verify_reads_files_that_start_with_a_byte_order_mark(tmp_path):
     assert main(["verify", str(cnf), str(model)]) == 0
 
 
+def test_verify_reads_a_model_comment_holding_a_form_feed(tmp_path):
+    cnf = write(tmp_path, "s.cnf", SAT_TEXT)
+    model = write(tmp_path, "m.txt", "c from\f x\nv -1 2 0\n")
+    assert main(["verify", cnf, model]) == 0
+
+
 def test_verify_falsifying_model_exits_one(tmp_path, capsys):
     cnf = write(tmp_path, "s.cnf", SAT_TEXT)
     model = write(tmp_path, "m.txt", "1 2 0\n")  # violates the unit clause -1
@@ -268,6 +282,34 @@ def test_bench_on_a_file_exits_two(tmp_path, capsys):
     assert exc.value.code == 2
     assert f"not a directory: {path}" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("out", ["missing/r.csv", "."], ids=["missing-dir", "dir"])
+def test_bench_unwritable_out_exits_two_before_the_suite(
+    tmp_path, capsys, monkeypatch, out
+):
+    def run_suite(*args, **kwargs):
+        raise AssertionError("the suite ran before --out was checked")
+
+    monkeypatch.setattr("chronosat.cli.run_suite", run_suite)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.cnf").write_text(SAT_TEXT)
+    out = str(tmp_path / out)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", str(corpus), "--out", out])
+    assert exc.value.code == 2
+    assert f"cannot write {out}: " in capsys.readouterr().err
+
+
+def test_bench_keeps_an_existing_csv_when_the_suite_fails(tmp_path):
+    path = write(tmp_path, "some.cnf", SAT_TEXT)
+    out = tmp_path / "r.csv"
+    out.write_text("kept\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", path, "--out", str(out)])
+    assert exc.value.code == 2
+    assert out.read_text() == "kept\n"
 
 
 def test_no_subcommand_exits_two():

@@ -242,6 +242,12 @@ def test_parse_drops_a_leading_byte_order_mark(encode):
     assert warnings == []
 
 
+def test_parse_a_line_break_inside_a_comment_adds_no_clause():
+    f, warnings = parse_dimacs("p cnf 1 2\nc note\f-1 0\n1 0\n")
+    assert f.clauses == [(0,)]
+    assert warnings == [(3, "header declares 2 clauses, found 1")]
+
+
 def test_parse_count_mismatch_warning_follows_tautology_warnings():
     _, warnings = parse_dimacs("p cnf 2 4\n1 -1 0\n2 0\n-2 2 0\n\n")
     assert warnings == [
@@ -300,7 +306,12 @@ def test_parse_one_width_edge_cases(text, clauses, warnings):
     assert found == warnings
 
 
-_FILLER = st.sampled_from(["", "   ", "c", "c 1 -1 0", "  c p cnf 9 9", "c 0"])
+# The last eight comments each hold a character that str.splitlines ends a
+# line at and a DIMACS line end is not: split there, "-1 0" is a clause.
+_FILLER = st.sampled_from(
+    ["", "   ", "c", "c 1 -1 0", "  c p cnf 9 9", "c 0"]
+    + [f"c a{ch}-1 0" for ch in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"]
+)
 
 
 def _spellings(n):
@@ -318,9 +329,9 @@ def dimacs_texts(draw):
     parsing it should give.
 
     Clauses of width 0 to 5 over at most 6 variables, in files of one width
-    or of mixed widths.  Lines break anywhere between tokens, comment and
-    blank lines fall between and inside clauses, and literals come in every
-    spelling int() reads."""
+    or of mixed widths.  Lines break anywhere between tokens and end in
+    '\\n', '\\r\\n' or '\\r', comment and blank lines fall between and inside
+    clauses, and literals come in every spelling int() reads."""
     nvars = draw(st.integers(1, 6))
     literal = st.integers(-nvars, nvars).filter(bool)
     if draw(st.booleans()):
@@ -354,7 +365,7 @@ def dimacs_texts(draw):
         warnings.append(
             (len(lines), f"header declares {declared} clauses, found {len(clauses)}")
         )
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return newline.join(lines) + newline, nvars, expected, warnings
 
 
@@ -447,6 +458,14 @@ def test_parse_model_drops_a_leading_byte_order_mark():
     assert parse_model("\ufeffv 1 -2 0\n", 2) == [True, False]
     with pytest.raises(DimacsError, match="^line 2: invalid literal 'x'$"):
         parse_model("\ufeffv 1\nv x 0\n", 2)
+
+
+@pytest.mark.parametrize("encode", [False, True], ids=["str", "bytes"])
+def test_parse_model_splits_lines_as_parse_dimacs_does(encode):
+    text = "c note\v x\rv 1 0\r\n"
+    assert parse_model(text.encode() if encode else text, 1) == [True]
+    with pytest.raises(DimacsError, match="^line 3: model does not assign"):
+        parse_model("v 1\r\nc 2\u2028-2 0\n\n", 2)
 
 
 @settings(deadline=None, max_examples=40)
