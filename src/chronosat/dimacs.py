@@ -30,22 +30,22 @@ only when the body has at least 2 * nvars tokens, so the table never
 outgrows the token list.  A token missing from it (another spelling int()
 reads, such as '+1' or '01', junk, or an out-of-range literal) goes through
 int() once per distinct token, which extends the table or reports the
-error.
+error.  So each literal is range-checked there, once, and the Formula is
+built without its constructor's range pass.
 
 When every clause has one width k (every (k+1)-th literal is a terminator,
 and no others), the clauses are cut out by columns: the k strided slices
-of the literal tuple are zipped into rows, and a pairwise comparison of
-their variable columns finds a clause that repeats a variable.  Mixed
-widths, or any repeated variable, send the whole file through a
-clause-by-clause loop, which merges duplicates and drops tautologies.
-Line numbers are worked out only for a report, as one table of each
-token's line.
+of the literal tuple are zipped into rows, and a pairwise XOR of those
+columns finds a clause that repeats a variable.  Mixed widths, or any
+repeated variable, send the whole file through a clause-by-clause loop,
+which merges duplicates and drops tautologies.  Line numbers are worked
+out only for a report, as one table of each token's line.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from operator import eq
+from operator import xor
 from typing import Iterator, List, Optional, Tuple, Union
 
 from .model import (
@@ -53,6 +53,7 @@ from .model import (
     SolveResult,
     Verdict,
     _collector_paused,
+    _trusted_formula,
     lit_to_dimacs,
     make_clause,
 )
@@ -153,13 +154,13 @@ def parse_dimacs(
     del tokens
     if lits and lits[-1] != _END:
         raise DimacsError(last_line, "clause missing terminating 0 at end of input")
-    var_of = {lit: lit >> 1 for lit in lit_of.values()}
     parsed_clauses = lits.count(_END)
 
-    clauses = _one_width_clauses(lits, parsed_clauses, var_of)
+    clauses = _one_width_clauses(lits, parsed_clauses)
     tautology_ends = []
     if clauses is None:
         # Mixed widths or a repeated variable: clause by clause.
+        var_of = {lit: lit >> 1 for lit in lit_of.values()}
         variables = tuple(map(var_of.__getitem__, lits))
         clauses = []
         start = 0
@@ -186,20 +187,22 @@ def parse_dimacs(
             f"header declares {declared_clauses} clauses, found {parsed_clauses}",
         ))
 
-    return Formula(nvars, clauses), warnings
+    return _trusted_formula(nvars, clauses), warnings
 
 
 def _one_width_clauses(
-    lits: Tuple[int, ...], count: int, var_of: dict
+    lits: Tuple[int, ...], count: int
 ) -> Optional[List[Tuple[int, ...]]]:
     """The count clauses that lits terminates, built column by column, or
     None unless every clause has one width and no clause repeats a variable.
 
     With one width k, lits is count rows of k literals and a terminator, so
     the terminators are exactly every (k+1)-th entry, and the clauses are
-    the rows of the k strided columns.  A clause repeats a variable where
-    two variable columns agree in its row; then parse_dimacs goes clause by
-    clause, so that make_clause merges or drops it.
+    the rows of the k strided columns.  Two literals share a variable
+    exactly when they differ at most in the sign bit, that is when their
+    XOR is below 2, so a clause repeats a variable where two columns' XOR
+    is below 2 in its row; then parse_dimacs goes clause by clause, so that
+    make_clause merges or drops it.
     """
     stride = len(lits) // count if count else 1
     if count * stride != len(lits) or lits[stride - 1 :: stride].count(_END) != count:
@@ -207,8 +210,7 @@ def _one_width_clauses(
     if stride == 1:
         return [()] * count
     columns = [lits[i::stride] for i in range(stride - 1)]
-    var_columns = [tuple(map(var_of.__getitem__, c)) for c in columns]
-    if any(any(map(eq, a, b)) for a, b in combinations(var_columns, 2)):
+    if any(min(map(xor, a, b)) < 2 for a, b in combinations(columns, 2)):
         return None
     return list(zip(*columns))
 

@@ -86,7 +86,13 @@ def make_clause(lits) -> Optional[Tuple[int, ...]]:
 
 @dataclass
 class Formula:
-    """A CNF formula over variables 0..variable_count-1."""
+    """A CNF formula over variables 0..variable_count-1.
+
+    The constructor range-checks every literal, and raises ValueError
+    naming the first one outside 0 <= l < 2 * variable_count.  parse_dimacs
+    builds its Formula through _trusted_formula instead, which skips that
+    pass, because the reader has already checked each literal it read.
+    """
 
     variable_count: int
     clauses: List[Tuple[int, ...]] = field(default_factory=list)
@@ -112,6 +118,22 @@ class Formula:
     @property
     def clause_count(self) -> int:
         return len(self.clauses)
+
+
+def _trusted_formula(variable_count: int, clauses: List[Tuple[int, ...]]) -> Formula:
+    """A Formula built without Formula's range pass; for parse_dimacs alone.
+
+    That pass can never fail on the reader's output, because the reader has
+    range-checked every literal of a parsed clause once already.  Each comes
+    from its literal table, which starts with only the canonical spellings
+    of 1..nvars and -1..-nvars for the header's nvars, or from its int()
+    fallback, which raises DimacsError for a token whose absolute value
+    exceeds nvars; and a header with nvars < 0 is rejected.
+    """
+    formula = Formula.__new__(Formula)
+    formula.variable_count = variable_count
+    formula.clauses = clauses
+    return formula
 
 
 class PhaseHeuristic(str, enum.Enum):

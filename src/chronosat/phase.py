@@ -17,16 +17,17 @@ Six heuristics are available.  Two keep their own score state:
 
 Saved phases are kept on every erase under every configuration, because
 the lsids_differs_saved counter compares LSIDS choices against them.  DPS
-scores exist only when the ncb or cb heuristic is DPS, and LSIDS
-activities only when one of them is LSIDS; otherwise those fields are None
-and no erase or learnt clause touches them.  A configured heuristic's
-state is updated whichever heuristic is currently dispatched, so switching
-mid-search (the backtrack-mode dispatch) always sees warm scores.  The
-engine hands over the erased literals of a backtrack in one batch, and the
-erase updates are applied in erase order (reverse assignment order),
-exactly as one call per literal would apply them.  One LSIDS bump loop
-serves both erased literals and learnt clauses; a rescore in the middle of
-a batch shrinks the increment for the literals after it.
+scores exist only when the ncb or cb heuristic is DPS, LSIDS activities
+only when one of them is LSIDS, and the decision RNG, seeded from
+random_seed, only when one of them is random; otherwise those fields are
+None and no erase, learnt clause or decision touches them.  A configured
+heuristic's state is updated whichever heuristic is currently dispatched,
+so switching mid-search (the backtrack-mode dispatch) always sees warm
+scores.  The engine hands over the erased literals of a backtrack in one
+batch, and the erase updates are applied in erase order (reverse
+assignment order), exactly as one call per literal would apply them.  One
+LSIDS bump loop serves both erased literals and learnt clauses; a rescore
+in the middle of a batch shrinks the increment for the literals after it.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ LSIDS_RESCORE_FACTOR = 1e-100
 
 
 class PhaseSelector:
-    """Owns saved phases, the DPS scores and LSIDS activities of configured
-    heuristics, and the decision RNG."""
+    """Owns saved phases, and the DPS scores, LSIDS activities and decision
+    RNG of configured heuristics."""
 
     def __init__(self, n_vars: int, config: SolverConfig, stats: SolverStats):
         self.config = config
@@ -60,7 +61,9 @@ class PhaseSelector:
             [0.0] * (2 * n_vars) if PhaseHeuristic.LSIDS in used else None
         )
         self.lsids_inc = 1.0
-        self.rng = random.Random(config.random_seed)
+        self.rng: Optional[random.Random] = (
+            random.Random(config.random_seed) if PhaseHeuristic.RANDOM in used else None
+        )
 
     # -- state maintenance hooks -------------------------------------------
 

@@ -384,7 +384,7 @@ def test_run_instance_pauses_the_collector_and_restores_its_state(
         config = SolverConfig(time_limit_seconds=0.05)
     # Probes inside parsing (its last step, or its bad-token report),
     # construction and search: each library call pauses the collector.
-    parse = gc_probe(dimacs, "Formula")
+    parse = gc_probe(dimacs, "_trusted_formula")
     parse_error = gc_probe(dimacs, "_token_lines")
     construction = gc_probe(engine, "PhaseSelector")
     search = gc_probe(engine.Solver, "_search")

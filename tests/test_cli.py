@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from chronosat.cli import PRESETS, main
@@ -168,6 +172,21 @@ def test_identical_invocations_byte_identical_stats(tmp_path, capsys):
     second = stat_lines(capsys.readouterr())
     assert first == second
     assert len(first) == 8
+
+
+def test_python_m_chronosat_runs_the_cli(repo_root, capsys):
+    path = os.path.join(repo_root, "benchmarks", "pack50", "sat_000.cnf")
+    assert main(["solve", path]) == 10
+    expected = stat_lines(capsys.readouterr())
+    child = subprocess.run(
+        [sys.executable, "-m", "chronosat", "solve", path],
+        env=dict(os.environ, PYTHONPATH=os.path.join(repo_root, "src")),
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 10
+    assert [l for l in child.stdout.splitlines() if l.startswith("c stat ")] == expected
+    assert len(expected) == 8
 
 
 # -- verify -----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from chronosat.dimacs import (
 )
 from chronosat.gen import random_ksat
 from chronosat.model import (
+    Formula,
     SolveResult,
     Verdict,
     lit_from_dimacs,
@@ -377,6 +378,8 @@ def test_parse_generated_text(case):
     assert f.variable_count == nvars
     assert f.clauses == clauses
     assert found == warnings
+    # The reader skips Formula's range pass; the pass accepts what it read.
+    assert Formula(f.variable_count, f.clauses) == f
 
 
 def test_parse_file(tmp_path):

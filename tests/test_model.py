@@ -177,7 +177,7 @@ def test_solve_result_requires_model_only_for_sat():
 
 
 def test_library_calls_pause_the_collector_for_direct_callers(gc_probe):
-    parse = gc_probe(dimacs, "Formula")
+    parse = gc_probe(dimacs, "_trusted_formula")
     construction = gc_probe(engine, "PhaseSelector")
     search = gc_probe(engine.Solver, "_search")
     gc.enable()

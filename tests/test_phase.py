@@ -278,3 +278,16 @@ def test_state_kept_only_for_configured_heuristics():
     assert sel.lsids_activity[2] == pytest.approx(0.5)
     assert sel.lsids_inc > 1.0
     assert sel.dps is None
+
+
+@pytest.mark.parametrize("heuristic", ["saved", "lsids", "dps", "opposite", "false"])
+def test_rng_kept_only_for_the_random_heuristic(heuristic):
+    sel, _ = selector(ncb_phase_heuristic=heuristic, cb_phase_heuristic=heuristic)
+    assert sel.rng is None
+
+
+@pytest.mark.parametrize("slot", ["ncb_phase_heuristic", "cb_phase_heuristic"])
+def test_rng_draws_follow_the_seed_in_either_slot(slot):
+    sel, _ = selector(**{slot: "random"}, random_seed=11)
+    reference = random.Random(11)
+    assert [sel.rng.random() for _ in range(5)] == [reference.random() for _ in range(5)]
