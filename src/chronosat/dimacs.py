@@ -10,36 +10,20 @@ with 'c' (for a model, 'c' or 's') after stripping holds no data.
 
 A CNF header/body clause-count mismatch is a warning, not an error.  Hard
 errors (bad header, literal out of range, junk tokens, missing clause
-terminator, malformed model) raise DimacsError with a 1-based line number.
+terminator, malformed model) raise DimacsError with a 1-based line number;
+parse_dimacs reports the first one in file order.
 
-parse_dimacs reports the first error in file order, as a reader going
-token by token would meet it: a junk token or an out-of-range literal wins
-over a duplicate 'p' header (a body line whose first token is 'p') on a
-later line, nothing after a duplicate header is reported, and of two bad
-tokens on one line the earlier wins, whichever kind it is.  A missing
-terminating 0 is reported only after the whole body has been read.
-Warnings come in file order, each tautology at the line of its
-terminating 0, and the clause count mismatch last.
-
-The clause body is tokenized in one pass: the lines after the header are
-joined and split once (comment lines are filtered out first, only when the
-body holds a 'c' at all), and the token list is mapped to literals through
-one table.  The table starts from the header: the canonical spelling of
-every literal it allows ('1', '-1', ..., and '0' for the terminator), but
+parse_dimacs reads a clause body one of two ways.  The fast path splits
+the lines after the header once and maps the tokens through a table of
+the canonical spellings the header allows ('1', '-1', ..., '0'), built
 only when the body has at least 2 * nvars tokens, so the table never
-outgrows the token list.  A token missing from it (another spelling int()
-reads, such as '+1' or '01', junk, or an out-of-range literal) goes through
-int() once per distinct token, which extends the table or reports the
-error.  So each literal is range-checked there, once, and the Formula is
-built without its constructor's range pass.
-
-When every clause has one width k (every (k+1)-th literal is a terminator,
-and no others), the clauses are cut out by columns: the k strided slices
-of the literal tuple are zipped into rows, and a pairwise XOR of those
-columns finds a clause that repeats a variable.  Mixed widths, or any
-repeated variable, send the whole file through a clause-by-clause loop,
-which merges duplicates and drops tautologies.  Line numbers are worked
-out only for a report, as one table of each token's line.
+outgrows the token list; when every token is found and every clause has
+one width with no repeated variable, the clauses are the rows of strided
+columns of the literal tuple.  Any other body is read token by token,
+int() once per token: duplicate literals merge, a tautology is dropped
+with a warning at its terminating 0's line, and errors are met in file
+order.  Both range-check each literal once, so the Formula is built
+without its constructor's range pass.
 """
 
 from __future__ import annotations
@@ -54,6 +38,7 @@ from .model import (
     Verdict,
     _collector_paused,
     _trusted_formula,
+    lit_from_dimacs,
     lit_to_dimacs,
     make_clause,
 )
@@ -109,9 +94,7 @@ def parse_dimacs(
     else:
         raise DimacsError(last_line, "missing 'p cnf' header")
 
-    # A second 'p' line stays in the body: its first token is never an int,
-    # so it is met in file order like any bad token.  Without a 'c' in the
-    # body no line can be a comment, and blank lines hold no tokens.
+    # Without a 'c' no body line is a comment; blank lines hold no tokens.
     body = "\n".join(lines[header_line:])
     if "c" in body:
         body = "\n".join(line for _, line in _data_lines(lines, header_line))
@@ -127,60 +110,17 @@ def parse_dimacs(
         # Tuples, so that a slice is already a clause.
         lits = tuple(map(lit_of.__getitem__, tokens))
     except KeyError:
-        # Other spellings int() reads ('+1', '01', '-0'), junk and
-        # out-of-range literals: int() once per distinct such token.
-        bad = {}
-        for tok in set(tokens).difference(lit_of):
-            try:
-                n = int(tok)
-            except ValueError:
-                bad[tok] = f"invalid token {tok!r}"
-                continue
-            if n == 0:
-                lit_of[tok] = _END
-            elif abs(n) > nvars:
-                bad[tok] = f"literal {n} exceeds declared variable count {nvars}"
-            else:
-                lit_of[tok] = 2 * n - 2 if n > 0 else -2 * n - 1
-        if bad:
-            at = _token_lines(lines, header_line)
-            i, tok = next((i, tok) for i, tok in enumerate(tokens) if tok in bad)
-            if tok == "p" and (i == 0 or at[i - 1] != at[i]):
-                raise DimacsError(at[i], "duplicate 'p' header") from None
-            raise DimacsError(at[i], bad[tok]) from None
-        lits = tuple(map(lit_of.__getitem__, tokens))
+        lits = None  # a spelling outside the table, junk or out of range
     # The token strings are the parse's largest transient, so they go
     # before any clause is built.
     del tokens
-    if lits and lits[-1] != _END:
-        raise DimacsError(last_line, "clause missing terminating 0 at end of input")
-    parsed_clauses = lits.count(_END)
-
-    clauses = _one_width_clauses(lits, parsed_clauses)
-    tautology_ends = []
-    if clauses is None:
-        # Mixed widths or a repeated variable: clause by clause.
-        var_of = {lit: lit >> 1 for lit in lit_of.values()}
-        variables = tuple(map(var_of.__getitem__, lits))
-        clauses = []
-        start = 0
-        for _ in range(parsed_clauses):
-            end = lits.index(_END, start)
-            if len(set(variables[start:end])) == end - start:
-                clauses.append(lits[start:end])
-            else:
-                clause = make_clause(lits[start:end])
-                if clause is None:
-                    tautology_ends.append(end)
-                else:
-                    clauses.append(clause)
-            start = end + 1
-
+    clauses = None if lits is None else _one_width_clauses(lits, lits.count(_END))
+    del lits
     warnings: List[Tuple[int, str]] = []
-    if tautology_ends:
-        at = _token_lines(lines, header_line)
-        for end in tautology_ends:
-            warnings.append((at[end], "tautological clause dropped"))
+    if clauses is None:
+        clauses, warnings = _read_clauses(lines, header_line, nvars)
+    # Each clause read is kept or dropped with one warning.
+    parsed_clauses = len(clauses) + len(warnings)
     if parsed_clauses != declared_clauses:
         warnings.append((
             last_line,
@@ -197,12 +137,12 @@ def _one_width_clauses(
     None unless every clause has one width and no clause repeats a variable.
 
     With one width k, lits is count rows of k literals and a terminator, so
-    the terminators are exactly every (k+1)-th entry, and the clauses are
-    the rows of the k strided columns.  Two literals share a variable
-    exactly when they differ at most in the sign bit, that is when their
-    XOR is below 2, so a clause repeats a variable where two columns' XOR
-    is below 2 in its row; then parse_dimacs goes clause by clause, so that
-    make_clause merges or drops it.
+    the terminators are exactly every (k+1)-th entry, and the last entry is
+    one; the clauses are the rows of the k strided columns.  Two literals
+    share a variable exactly when they differ at most in the sign bit, that
+    is when their XOR is below 2, so a clause repeats a variable where two
+    columns' XOR is below 2 in its row; then parse_dimacs reads the file
+    token by token, so that make_clause merges or drops it.
     """
     stride = len(lits) // count if count else 1
     if count * stride != len(lits) or lits[stride - 1 :: stride].count(_END) != count:
@@ -215,14 +155,44 @@ def _one_width_clauses(
     return list(zip(*columns))
 
 
-def _token_lines(lines: List[str], header_line: int) -> List[int]:
-    """The 1-based line number of each clause-data token, in token order,
-    for the body that follows the header on line header_line: blank and
-    comment lines are skipped as parse_dimacs skips them."""
-    at: List[int] = []
+def _read_clauses(
+    lines: List[str], header_line: int, nvars: int
+) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, str]]]:
+    """The clauses of the body after the header on line header_line, read
+    token by token with int(), and a warning for each tautology dropped.
+
+    Raises DimacsError at the first bad token in file order, a 'p' that
+    starts a line being a duplicate header, or for a missing terminating 0
+    once the whole body has been read.
+    """
+    clauses: List[Tuple[int, ...]] = []
+    warnings: List[Tuple[int, str]] = []
+    clause: List[int] = []
     for lineno, line in _data_lines(lines, header_line):
-        at += [lineno] * len(line.split())
-    return at
+        words = line.split()
+        for word in words:
+            try:
+                n = int(word)
+            except ValueError:
+                if word == words[0] == "p":
+                    raise DimacsError(lineno, "duplicate 'p' header") from None
+                raise DimacsError(lineno, f"invalid token {word!r}") from None
+            if n == 0:
+                kept = make_clause(clause)
+                if kept is None:
+                    warnings.append((lineno, "tautological clause dropped"))
+                else:
+                    clauses.append(kept)
+                clause = []
+            elif abs(n) > nvars:
+                raise DimacsError(
+                    lineno, f"literal {n} exceeds declared variable count {nvars}"
+                )
+            else:
+                clause.append(lit_from_dimacs(n))
+    if clause:
+        raise DimacsError(len(lines), "clause missing terminating 0 at end of input")
+    return clauses, warnings
 
 
 def _lines(text: Union[str, bytes]) -> List[str]:

@@ -123,12 +123,12 @@ class Formula:
 def _trusted_formula(variable_count: int, clauses: List[Tuple[int, ...]]) -> Formula:
     """A Formula built without Formula's range pass; for parse_dimacs alone.
 
-    That pass can never fail on the reader's output, because the reader has
-    range-checked every literal of a parsed clause once already.  Each comes
-    from its literal table, which starts with only the canonical spellings
-    of 1..nvars and -1..-nvars for the header's nvars, or from its int()
-    fallback, which raises DimacsError for a token whose absolute value
-    exceeds nvars; and a header with nvars < 0 is rejected.
+    That pass can never fail on the reader's output, because both of the
+    reader's paths range-check every literal of a parsed clause once
+    already.  The fast path's table holds only the canonical spellings of
+    1..nvars and -1..-nvars for the header's nvars, and the token reader
+    raises DimacsError for an int() whose absolute value exceeds nvars; a
+    header with nvars < 0 is rejected.
     """
     formula = Formula.__new__(Formula)
     formula.variable_count = variable_count

@@ -382,17 +382,20 @@ def test_run_instance_pauses_the_collector_and_restores_its_state(
     else:
         path = _write(tmp_path, "t.cnf", write_dimacs(pigeonhole(8, 7)))
         config = SolverConfig(time_limit_seconds=0.05)
-    # Probes inside parsing (its last step, or its bad-token report),
-    # construction and search: each library call pauses the collector.
+    # Probes inside parsing (its last step, and its token reader, which
+    # all three files reach: SAT_TEXT and pigeonhole(8, 7) have mixed
+    # widths, and "oops" is junk), construction and search: each library
+    # call pauses the collector.
     parse = gc_probe(dimacs, "_trusted_formula")
-    parse_error = gc_probe(dimacs, "_token_lines")
+    token_reader = gc_probe(dimacs, "_read_clauses")
     construction = gc_probe(engine, "PhaseSelector")
     search = gc_probe(engine.Solver, "_search")
     gc.enable() if enabled_before else gc.disable()
     r = run_instance(path, "d", config)
     assert gc.isenabled() is enabled_before
     assert r.verdict == {"solved": "SAT", "error": "ERROR", "timeout": "UNKNOWN"}[job]
-    assert parse + parse_error == [False]
+    assert token_reader == [False]
+    assert parse == ([] if job == "error" else [False])
     assert construction == search == ([] if job == "error" else [False])
 
 

@@ -1,9 +1,12 @@
 import random
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from chronosat import dimacs
 from chronosat.dimacs import (
     MAX_VALUE_LINE_CHARS,
     DimacsError,
@@ -332,7 +335,10 @@ def dimacs_texts(draw):
     Clauses of width 0 to 5 over at most 6 variables, in files of one width
     or of mixed widths.  Lines break anywhere between tokens and end in
     '\\n', '\\r\\n' or '\\r', comment and blank lines fall between and inside
-    clauses, and literals come in every spelling int() reads."""
+    clauses, and literals come in every spelling int() reads, or in the
+    canonical spelling only, so that a one-width file can take the fast
+    path."""
+    spellings = _spellings if draw(st.booleans()) else lambda n: [str(n)]
     nvars = draw(st.integers(1, 6))
     literal = st.integers(-nvars, nvars).filter(bool)
     if draw(st.booleans()):
@@ -352,7 +358,7 @@ def dimacs_texts(draw):
                 lines.append(" ".join(current))
                 lines.extend(draw(st.lists(_FILLER, max_size=2)))
                 current = []
-            current.append(draw(st.sampled_from(_spellings(n))))
+            current.append(draw(st.sampled_from(spellings(n))))
         merged = make_clause([lit_from_dimacs(n) for n in clause])
         if merged is None:
             # The terminating 0 sits on the line current will become.
@@ -380,6 +386,47 @@ def test_parse_generated_text(case):
     assert found == warnings
     # The reader skips Formula's range pass; the pass accepts what it read.
     assert Formula(f.variable_count, f.clauses) == f
+    # Whichever path it took, the token reader reads the same clauses and
+    # tautology warnings.
+    lines = dimacs._lines(text)
+    header_line, _ = next(dimacs._data_lines(lines))
+    read, tautologies = dimacs._read_clauses(lines, header_line, nvars)
+    assert read == f.clauses
+    assert tautologies == [w for w in found if w[1] == "tautological clause dropped"]
+
+
+def test_every_pack50_file_takes_the_fast_path(gc_probe, pack_dir):
+    token_reader = gc_probe(dimacs, "_read_clauses")
+    paths = sorted(Path(pack_dir).glob("*.cnf"))
+    assert len(paths) == 200
+    for path in paths:
+        f, warnings = parse_dimacs_file(path)
+        assert f.clause_count > 0 and warnings == []
+    assert token_reader == []
+
+
+def _parse_peak(text):
+    tracemalloc.start()
+    try:
+        parsed = parse_dimacs(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return parsed, peak
+
+
+def test_a_respelled_literal_reads_the_same_in_no_more_memory(gc_probe):
+    token_reader = gc_probe(dimacs, "_read_clauses")
+    text = write_dimacs(random_ksat(2500, ratio=4.26, seed=3))
+    # The first clause line that starts with a positive literal.
+    respelled = re.sub(r"(?m)^([1-9])", r"+\1", text, count=1)
+    assert respelled != text
+    canonical, canonical_peak = _parse_peak(text)
+    assert token_reader == []
+    parsed, peak = _parse_peak(respelled)
+    assert token_reader == [False]
+    assert parsed == canonical
+    assert peak <= canonical_peak
 
 
 def test_parse_file(tmp_path):

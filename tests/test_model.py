@@ -192,7 +192,7 @@ def test_library_calls_pause_the_collector_for_direct_callers(gc_probe):
 
 @pytest.mark.parametrize("enabled_before", [True, False])
 def test_parse_error_restores_the_collector_state(gc_probe, enabled_before):
-    report = gc_probe(dimacs, "_token_lines")
+    report = gc_probe(dimacs, "_read_clauses")
     gc.enable() if enabled_before else gc.disable()
     with pytest.raises(DimacsError, match="line 2: invalid token 'oops'"):
         parse_dimacs("p cnf 2 1\n1 oops 0\n")
