@@ -130,7 +130,14 @@ class Clause:
 
 
 class Solver:
-    """One-shot solver for a fixed formula.  Create, call solve(), discard."""
+    """CDCL solver for a fixed formula.
+
+    solve() may be called again.  A call that the time limit stopped is
+    continued by the next one, which gets the full limit again; the
+    verdict, model and counters then equal those of one uninterrupted
+    solve.  After SAT or UNSAT every later call returns the same result:
+    ok is False once UNSAT is proven, by an empty or falsified input clause
+    or by a conflict at level 0."""
 
     @_collector_paused
     def __init__(self, formula: Formula, config: Optional[SolverConfig] = None):
@@ -232,14 +239,15 @@ class Solver:
         write index with its blocker refreshed, and one that moves to a new
         literal is appended there as a (clause, blocker) pair.
 
-        On conflict the queue head is rewound one step, to the interrupted
-        literal, so its unvisited watchers are scanned again if it survives
-        a backtrack.  This serves direct calls on hand-built states, such
-        as several levels enqueued before any propagation.  In search
-        _backtrack_to's rewind already covers it: propagation starts at or
-        after trail_lim[-1], the interrupted literal sits there or later,
+        On conflict the queue head stays just past the interrupted literal,
+        whose unvisited watchers stay in its list, in order.  Only
+        _backtrack_to moves the head back, and that one rewind is enough to
+        scan them again if the literal survives the backtrack: propagation
+        starts at or after trail_lim[-1] (tests/invariants.py,
+        check_queue_start), so the interrupted literal sits there or later,
         and every conflict above level 0 backtracks to a target below the
-        current level, whose trail_lim entry is no later.
+        current level, whose trail_lim entry is no later.  A conflict at
+        level 0 ends the search.
         """
         value = self.value
         watches = self.watches
@@ -329,7 +337,6 @@ class Solver:
             # the unvisited watchers from i on stay, in order.
             del wl[j:i]
             if confl is not None:
-                qhead -= 1
                 break
 
         self.qhead = qhead
@@ -497,7 +504,7 @@ class Solver:
         reverse assignment order.  The propagation head rewinds to the scan
         start, the first removed position: surviving entries that shift down
         are rescanned, so a clause watched by one of them and a literal
-        erased here is looked at again."""
+        erased here is looked at again.  No other code moves the head back."""
         self.decision_level = target
         trail_lim = self.trail_lim
         if target >= len(trail_lim):
@@ -590,8 +597,9 @@ class Solver:
     @_collector_paused
     def solve(self) -> SolveResult:
         """Search, check a SAT model against the formula and return the
-        result.  The cyclic collector is paused, process-wide, for the
-        duration of the call."""
+        result.  stats.wall_time_seconds adds this call's time to that of
+        earlier calls.  The cyclic collector is paused, process-wide, for
+        the duration of the call."""
         start = time.monotonic()
         limit = self.config.time_limit_seconds
         verdict = self._search(None if limit is None else start + limit)
@@ -602,13 +610,15 @@ class Solver:
             model = [value[v << 1] > 0 for v in range(self.n_vars)]
             if not check_model(self.formula, model):
                 raise RuntimeError("internal error: produced model fails a clause")
-        self.stats.wall_time_seconds = time.monotonic() - start
+        self.stats.wall_time_seconds += time.monotonic() - start
         return SolveResult(verdict, model=model, stats=self.stats)
 
     def _search(self, deadline: Optional[float]) -> Verdict:
         """CDCL loop.  One step is one propagation to fixpoint followed by
         one conflict analysis, a restart or a decision; the deadline (a
-        time.monotonic value, or None) is checked once before each step."""
+        time.monotonic value, or None) is checked once before each step.
+        No state lives in locals between steps, so the next call continues
+        a search that the deadline stopped."""
         if not self.ok:
             return Verdict.UNSAT
         cfg = self.config
@@ -626,6 +636,7 @@ class Solver:
                         conflict_level = lv
                 if conflict_level == 0:
                     stats.conflicts += 1
+                    self.ok = False
                     return Verdict.UNSAT
                 learnt, assert_level, lbd = self._analyze(confl, conflict_level)
                 target, is_cb = choose_backtrack_level(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .model import Formula, make_clause, make_literal
+from .model import Formula, make_literal
 
 
 def random_ksat(
@@ -28,10 +28,7 @@ def random_ksat(
     clauses = []
     for _ in range(n_clauses):
         vs = rng.sample(range(n_vars), k)
-        lits = [make_literal(v, rng.random() < 0.5) for v in vs]
-        clause = make_clause(lits)
-        assert clause is not None  # distinct variables, no tautology possible
-        clauses.append(clause)
+        clauses.append(tuple([make_literal(v, rng.random() < 0.5) for v in vs]))
     return Formula(n_vars, clauses)
 
 
@@ -43,24 +40,20 @@ def pigeonhole(pigeons: int, holes: int) -> Formula:
     """
     if pigeons < 1 or holes < 1:
         raise ValueError("need at least one pigeon and one hole")
-    nvars = pigeons * holes
-    clauses = []
-    for p in range(pigeons):
-        clauses.append(
-            make_clause([make_literal(p * holes + h, True) for h in range(holes)])
-        )
+    clauses = [
+        tuple([make_literal(p * holes + h, True) for h in range(holes)])
+        for p in range(pigeons)
+    ]
     for h in range(holes):
         for p1 in range(pigeons):
             for p2 in range(p1 + 1, pigeons):
                 clauses.append(
-                    make_clause(
-                        [
-                            make_literal(p1 * holes + h, False),
-                            make_literal(p2 * holes + h, False),
-                        ]
+                    (
+                        make_literal(p1 * holes + h, False),
+                        make_literal(p2 * holes + h, False),
                     )
                 )
-    return Formula(nvars, clauses)
+    return Formula(pigeons * holes, clauses)
 
 
 def deep_conflict(padding: int = 150) -> Formula:
@@ -69,13 +62,7 @@ def deep_conflict(padding: int = 150) -> Formula:
     distance.  The only constraints are four clauses over the last two
     variables; the padding variables are unconstrained, so a fresh solver
     walks them in index order first, one decision level each."""
-    n = padding + 2
-    a = n - 2
-    b = n - 1
-    clauses = [
-        make_clause([make_literal(a, True), make_literal(b, True)]),
-        make_clause([make_literal(a, True), make_literal(b, False)]),
-        make_clause([make_literal(a, False), make_literal(b, True)]),
-        make_clause([make_literal(a, False), make_literal(b, False)]),
-    ]
-    return Formula(n, clauses)
+    a = make_literal(padding, True)
+    b = make_literal(padding + 1, True)
+    clauses = [(a, b), (a, b ^ 1), (a ^ 1, b), (a ^ 1, b ^ 1)]
+    return Formula(padding + 2, clauses)

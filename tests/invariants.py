@@ -107,8 +107,8 @@ def check_queue_start(solver: Solver) -> None:
     is at or after trail_lim[-1], where the current level opened.
 
     So the literal a conflict interrupts sits at or after that position,
-    and the backtrack that follows rewinds the head to it or earlier
-    without the conflict-time rewind."""
+    and the backtrack that follows, to a level below the current one,
+    rewinds the head to it or earlier: _propagate need not rewind."""
     if solver.trail_lim and solver.qhead < solver.trail_lim[-1]:
         raise AssertionError(
             f"queue head {solver.qhead} before position {solver.trail_lim[-1]}, "
@@ -119,11 +119,11 @@ def check_queue_start(solver: Solver) -> None:
 def check_conflict(solver: Solver, confl: Clause) -> None:
     """Assert the solver's state when propagation returns a conflict.
 
-    confl is falsified, and the literal whose watchers found it is back at
-    the queue head (confl holds its negation), so its unvisited watchers
-    are scanned again if it survives the backtrack."""
+    confl is falsified, and the literal whose watchers found it is the last
+    one the queue head passed, trail[qhead - 1] (confl holds its negation):
+    the head stays past it until a backtrack rewinds it."""
     if any(solver.value[l] >= 0 for l in confl.lits):
         raise AssertionError(f"conflict {confl!r} is not falsified")
     trail, qhead = solver.trail, solver.qhead
-    if qhead >= len(trail) or trail[qhead] ^ 1 not in confl.lits:
+    if not 0 < qhead <= len(trail) or trail[qhead - 1] ^ 1 not in confl.lits:
         raise AssertionError(f"queue head {qhead} did not find conflict {confl!r}")

@@ -1,3 +1,4 @@
+import functools
 import glob
 import itertools
 import os
@@ -159,18 +160,34 @@ def test_conflict_keeps_later_watchers_of_the_same_literal_in_order():
     # Three clauses watch x1.  On ~x1 the first moves its watch to x5,
     # leaving a gap, the second conflicts, and the third is never visited:
     # it must stay watched, in order, right after the conflicting clause.
-    f = fml(5, [[1, 4, 5], [1, 2], [1, 3]])
+    # The trail is one a chronological backtrack leaves: decisions x6 and
+    # x7 open levels 1 and 2, and ~x1 at level 1 follows them, out of
+    # level order, before ~x2 at level 2.  The head is past the decisions,
+    # as in search.
+    f = fml(7, [[1, 4, 5], [1, 2], [1, 3]])
     s = Solver(f)
     mover, confl_clause, later = s.clauses
+    s._enqueue(lit(6), None, 1)
+    s._enqueue(lit(7), None, 2)
     s._enqueue(lit(-1), None, 1)
     s._enqueue(lit(-2), None, 2)
     s.decision_level = 2
-    assert s._propagate() is confl_clause
+    s.qhead = 2
+    check_queue_start(s)
+    confl = s._propagate()
+    assert confl is confl_clause
+    check_conflict(s, confl)
+    assert s.trail[s.qhead - 1] == lit(-1)
     assert s.watches[lit(1)] == [confl_clause, lit(2), later, lit(3)]
     assert s.watches[lit(5)] == [mover, lit(4)]
+    # Level 1 keeps ~x1, which shifts down to where level 2 opened; the
+    # backtrack rewinds the head there, so ~x1's watchers are scanned again.
     s._backtrack_to(1)
+    assert s.trail == [lit(6), lit(-1)]
+    assert s.qhead == 1
     assert s._propagate() is None
     assert s.value[lit(2)] > 0 and s.value[lit(3)] > 0
+    assert s.level[1] == s.level[2] == 1
     assert s.watches[lit(1)] == [confl_clause, lit(2), later, lit(3)]
     debug_check_watches(s)
 
@@ -708,16 +725,24 @@ def test_watch_invariants_hold_after_solving():
             debug_check_watches(s)
 
 
-class CheckedSolver(Solver):
-    """Checks the solver's state each time propagation starts and returns."""
+class QueueCheckedSolver(Solver):
+    """Checks where each propagation starts and where a conflict stops it."""
 
     def _propagate(self):
         check_queue_start(self)
         confl = super()._propagate()
+        if confl is not None:
+            check_conflict(self, confl)
+        return confl
+
+
+class CheckedSolver(QueueCheckedSolver):
+    """Also checks the whole state at each conflict-free fixpoint."""
+
+    def _propagate(self):
+        confl = super()._propagate()
         if confl is None:
             check_invariants(self)
-        else:
-            check_conflict(self, confl)
         return confl
 
 
@@ -794,7 +819,10 @@ def test_check_conflict_rejects_a_queue_head_off_the_conflict():
     confl = s._propagate()
     assert confl is not None
     check_conflict(s, confl)
-    for qhead in (0, len(s.trail)):
+    # The head passed ~x1, x2 (the interrupted literal) and stopped before
+    # x3; a head with no literal before it, or past ~x1 only, is off.
+    assert s.trail == [lit(-1), lit(2), lit(3)] and s.qhead == 2
+    for qhead in (0, 1, len(s.trail) + 1):
         s.qhead = qhead
         with pytest.raises(AssertionError, match="did not find conflict"):
             check_conflict(s, confl)
@@ -873,6 +901,148 @@ def test_non_positive_time_limit_is_rejected():
         random_ksat(30, ratio=4.3, seed=0), SolverConfig(time_limit_seconds=1e-9)
     )
     assert r.verdict is Verdict.UNKNOWN
+
+
+# -- resuming and solving again --------------------------------------------------
+
+
+class StepClock:
+    """A stand-in for time.monotonic that advances one second per read.
+
+    solve() reads the clock once before its search and once after it, and
+    the search reads it once before each step, so a time limit of k + 0.5
+    seconds lets one call take exactly k steps."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __call__(self):
+        self.reads += 1
+        return float(self.reads)
+
+
+def counters(result):
+    return tuple(value for _, value in result.stats.counter_items())
+
+
+def search_steps(result):
+    """Steps the search took: one per conflict, restart and decision, and
+    for SAT the last one, which finds no variable left to decide."""
+    stats = result.stats
+    return (
+        stats.conflicts
+        + stats.restarts
+        + stats.decisions
+        + (result.verdict is Verdict.SAT)
+    )
+
+
+def check_resume(monkeypatch, f, kwargs, k, full):
+    """Stop a solve of f after k steps, then solve again with a clock that
+    never moves: verdict, model and counters must equal full, the result of
+    one uninterrupted solve."""
+    s = Solver(f, SolverConfig(time_limit_seconds=k + 0.5, **kwargs))
+    monkeypatch.setattr(engine.time, "monotonic", StepClock())
+    first = s.solve()
+    assert first.verdict is Verdict.UNKNOWN and first.model is None
+    assert search_steps(first) == k
+    monkeypatch.setattr(engine.time, "monotonic", lambda: 0.0)
+    again = s.solve()
+    assert again.verdict is full.verdict
+    assert again.model == full.model
+    assert counters(again) == counters(full), k
+
+
+@pytest.mark.parametrize("restart", ["luby", "glucose"])
+@pytest.mark.parametrize("t", [0, 5])
+@pytest.mark.parametrize(
+    "ncb, cb",
+    [("saved", "lsids"), ("dps", "random"), ("saved", "dps")],
+    ids=["saved-lsids", "dps-random", "saved-dps"],
+)
+def test_stopped_search_resumes_to_the_uninterrupted_result(
+    monkeypatch, ncb, cb, t, restart
+):
+    # C=0 lets CB fire from the first conflict, luby_base=4 brings Luby
+    # restarts in and a learnt database of 40 makes _reduce_db fire on most
+    # of these formulas.
+    kwargs = dict(
+        cb_threshold_t=t,
+        cb_min_conflicts_c=0,
+        ncb_phase_heuristic=ncb,
+        cb_phase_heuristic=cb,
+        restart_policy=restart,
+        luby_base=4,
+        clause_db_init_limit=40,
+    )
+    for seed in (1, 2, 3):
+        f = random_ksat(70, ratio=4.26, seed=seed)
+        kwargs["random_seed"] = seed
+        full = solve_formula(f, SolverConfig(**kwargs))
+        steps = search_steps(full)
+        rng = random.Random(f"{seed}-{ncb}-{cb}-{t}-{restart}")
+        for k in (rng.randrange(1, steps), rng.randrange(1, steps), steps - 1):
+            check_resume(monkeypatch, f, kwargs, k, full)
+
+
+def test_stopped_glucose_search_resumes_across_its_restarts(monkeypatch):
+    # A glucose restart needs a full window of 50 conflicts and seldom
+    # fires on the random formulas above; this formula restarts (see
+    # GLUCOSE_COUNTERS), so the window must survive each stop.
+    f = pigeonhole(7, 6)
+    full = solve_formula(f, SolverConfig(restart_policy="glucose"))
+    assert full.stats.restarts > 0
+    steps = search_steps(full)
+    for k in (steps // 4, steps // 2, 3 * steps // 4):
+        check_resume(monkeypatch, f, {"restart_policy": "glucose"}, k, full)
+
+
+@pytest.mark.parametrize(
+    "make_formula, cfg_kwargs, verdict",
+    [
+        (lambda: pigeonhole(5, 4), {}, Verdict.UNSAT),
+        (
+            lambda: random_ksat(50, ratio=4.26, seed=1),
+            {"cb_threshold_t": 0, "cb_min_conflicts_c": 0},
+            Verdict.UNSAT,
+        ),
+        (lambda: Formula(2, [(0, 2), ()]), {}, Verdict.UNSAT),
+        (
+            lambda: random_ksat(50, ratio=4.26, seed=4),
+            {"cb_threshold_t": 0, "cb_min_conflicts_c": 0},
+            Verdict.SAT,
+        ),
+    ],
+    ids=["php5-4", "ksat50-unsat-T0-C0", "empty-clause", "ksat50-sat-T0-C0"],
+)
+def test_solving_again_after_a_verdict_repeats_it(make_formula, cfg_kwargs, verdict):
+    # ok is the one record of a proven UNSAT: a conflict at level 0 sets it,
+    # so a second call neither rescans nor counts that conflict again.
+    s = Solver(make_formula(), SolverConfig(**cfg_kwargs))
+    first = s.solve()
+    assert first.verdict is verdict
+    expected = (first.verdict, first.model, counters(first))
+    again = s.solve()
+    assert (again.verdict, again.model, counters(again)) == expected
+    assert s.ok is (verdict is Verdict.SAT)
+
+
+def test_resumed_solve_reports_the_time_of_all_its_calls(monkeypatch):
+    # A call's time is its last clock read less its first, so under a
+    # StepClock it is the call's reads less one.
+    s = Solver(pigeonhole(6, 5), SolverConfig(time_limit_seconds=20.5))
+    total = 0.0
+    for _ in range(3):
+        clock = StepClock()
+        monkeypatch.setattr(engine.time, "monotonic", clock)
+        r = s.solve()
+        assert r.verdict is Verdict.UNKNOWN
+        total += clock.reads - 1
+        assert r.stats.wall_time_seconds == total
+    monkeypatch.setattr(engine.time, "monotonic", lambda: 0.0)
+    r = s.solve()
+    assert r.verdict is Verdict.UNSAT
+    assert r.stats.wall_time_seconds == total == 3 * 22
 
 
 # -- determinism ------------------------------------------------------------------
@@ -1027,3 +1197,46 @@ def test_glucose_restart_counters_are_pinned(make_formula, cfg_kwargs, expected)
     cfg = SolverConfig(restart_policy="glucose", **cfg_kwargs)
     r = solve_formula(make_formula(), cfg)
     assert tuple(value for _, value in r.stats.counter_items()) == expected
+
+
+def pinned_runs():
+    """Every row of PINNED_COUNTERS, GATED_COUNTERS and GLUCOSE_COUNTERS as
+    (formula factory, config, counters), each built as its own test builds
+    it."""
+    for (seed, t, db_limit), expected in PINNED_COUNTERS:
+        cfg = SolverConfig(
+            cb_threshold_t=t,
+            cb_min_conflicts_c=0,
+            luby_base=4,
+            clause_db_init_limit=db_limit,
+        )
+        make_formula = functools.partial(random_ksat, 100, ratio=4.26, seed=seed)
+        yield pytest.param(
+            make_formula, cfg, expected, id=f"pinned-seed{seed}-T{t}-db{db_limit}"
+        )
+    for (seed, ncb, cb, restart), expected in GATED_COUNTERS:
+        cfg = SolverConfig(
+            cb_threshold_t=0,
+            cb_min_conflicts_c=0,
+            ncb_phase_heuristic=ncb,
+            cb_phase_heuristic=cb,
+            restart_policy=restart,
+            luby_base=4,
+        )
+        make_formula = functools.partial(random_ksat, 100, ratio=4.26, seed=seed)
+        yield pytest.param(
+            make_formula, cfg, expected, id=f"gated-seed{seed}-{ncb}-{cb}-{restart}"
+        )
+    for name, make_formula, cfg_kwargs, expected in GLUCOSE_COUNTERS:
+        cfg = SolverConfig(restart_policy="glucose", **cfg_kwargs)
+        yield pytest.param(make_formula, cfg, expected, id=f"glucose-{name}")
+
+
+@pytest.mark.parametrize("make_formula, cfg, expected", pinned_runs())
+def test_one_queue_rewind_suffices_on_every_pinned_run(make_formula, cfg, expected):
+    # _propagate leaves the head past the literal a conflict interrupts and
+    # only _backtrack_to moves it back.  That suffices because propagation
+    # starts at or after trail_lim[-1]; QueueCheckedSolver asserts it at
+    # every propagation, and the counters stay pinned.
+    r = QueueCheckedSolver(make_formula(), cfg).solve()
+    assert counters(r) == expected
