@@ -63,6 +63,8 @@ GLUCOSE_MARGIN = 0.8
 
 def luby(index: int) -> int:
     """Luby restart sequence 1,1,2,1,1,2,4,... (0-based index)."""
+    if index < 0:
+        raise ValueError(f"need a Luby index >= 0, got {index}")
     size, seq = 1, 0
     while size < index + 1:
         seq += 1
@@ -349,16 +351,17 @@ class Solver:
         """First-UIP analysis at the conflict level.
 
         Returns (learnt_lits, assert_level, lbd) with the asserting literal
-        first and the highest-level remaining literal second.  Trail
-        literals below the conflict level enter the learnt clause directly;
-        only literals at the conflict level are resolved.
+        first and the first kept literal of the highest remaining level
+        second.  Literals below the conflict level are collected directly;
+        only those at it are resolved, and the walk clears seen for each as
+        it resolves it, the UIP included, so seen then marks exactly the
+        collected literals' variables.
         """
         seen = self.seen
         level = self.level
         reason = self.reason
         trail = self.trail
-        learnt: List[int] = [0]
-        to_clear: List[int] = []
+        collected: List[int] = []
         pathc = 0
         p = -1
         idx = len(trail) - 1
@@ -374,12 +377,11 @@ class Solver:
                 lv = level[v]
                 if not seen[v] and lv > 0:
                     seen[v] = 1
-                    to_clear.append(v)
                     self._var_bump(v)
                     if lv == conflict_level:
                         pathc += 1
                     else:
-                        learnt.append(q)
+                        collected.append(q)
             while True:
                 pv = trail[idx] >> 1
                 if seen[pv] and level[pv] == conflict_level:
@@ -392,41 +394,35 @@ class Solver:
             if pathc == 0:
                 break
             c = reason[pv]
-        learnt[0] = p ^ 1
 
-        # Self-subsumption: drop a literal whose entire reason is already in
-        # the clause (or settled at level 0).
-        out = [learnt[0]]
-        for q in learnt[1:]:
-            r = reason[q >> 1]
-            if r is None:
-                out.append(q)
-                continue
-            implied = q ^ 1
-            for u in r.lits:
-                if u == implied:
+        # One pass: self-subsumption drops a literal whose entire reason is
+        # in the clause (or at level 0); the kept levels give the LBD.
+        learnt = [p ^ 1]
+        levels = {conflict_level}
+        assert_level = 0
+        mi = 0
+        for q in collected:
+            v = q >> 1
+            r = reason[v]
+            if r is not None:
+                implied = q ^ 1
+                for u in r.lits:
+                    if u != implied and not seen[u >> 1] and level[u >> 1] > 0:
+                        break
+                else:
                     continue
-                if not seen[u >> 1] and level[u >> 1] > 0:
-                    out.append(q)
-                    break
+            lv = level[v]
+            if lv > assert_level:
+                assert_level = lv
+                mi = len(learnt)
+            levels.add(lv)
+            learnt.append(q)
+        if mi:
+            learnt[1], learnt[mi] = learnt[mi], learnt[1]
 
-        if len(out) == 1:
-            assert_level = 0
-        else:
-            mi = 1
-            ml = level[out[1] >> 1]
-            for k in range(2, len(out)):
-                lv = level[out[k] >> 1]
-                if lv > ml:
-                    ml = lv
-                    mi = k
-            out[1], out[mi] = out[mi], out[1]
-            assert_level = ml
-
-        lbd = len({level[q >> 1] for q in out})
-        for v in to_clear:
-            seen[v] = 0
-        return out, assert_level, lbd
+        for q in collected:
+            seen[q >> 1] = 0
+        return learnt, assert_level, len(levels)
 
     # -- activities -----------------------------------------------------------
 

@@ -127,3 +127,53 @@ def check_conflict(solver: Solver, confl: Clause) -> None:
     trail, qhead = solver.trail, solver.qhead
     if not 0 < qhead <= len(trail) or trail[qhead - 1] ^ 1 not in confl.lits:
         raise AssertionError(f"queue head {qhead} did not find conflict {confl!r}")
+
+
+def check_learnt(solver, conflict_level, bumped, learnt, assert_level, lbd):
+    """Assert the clause _analyze returned for a conflict at conflict_level.
+
+    bumped lists the variables the first-UIP walk bumped, in order; those
+    below the conflict level, as their false literals, are the collected
+    literals.  The asserting literal comes first, false at the conflict
+    level.  The rest are the collected literals whose reason is not wholly
+    inside the collected ones or at level 0, all false below the conflict
+    level, in collected order except that the first literal of their
+    highest level is swapped to position 1; that level is assert_level (0
+    for a unit).  No variable repeats, lbd is the number of distinct levels
+    in the clause, and seen is all zero again."""
+    value, level, reason = solver.value, solver.level, solver.reason
+    head, rest = learnt[0], learnt[1:]
+    if value[head] >= 0 or level[head >> 1] != conflict_level:
+        raise AssertionError(
+            f"asserting literal {head} is not false at level {conflict_level}"
+        )
+    for q in rest:
+        if value[q] >= 0 or level[q >> 1] >= conflict_level:
+            raise AssertionError(f"{q} is not false below level {conflict_level}")
+    if len({q >> 1 for q in learnt}) != len(learnt):
+        raise AssertionError(f"a variable repeats in {learnt}")
+
+    collected = [
+        v << 1 | (value[v << 1] > 0) for v in bumped if level[v] < conflict_level
+    ]
+    inside = {q >> 1 for q in collected}
+    want = []
+    for q in collected:
+        r = reason[q >> 1]
+        if r is None or any(
+            u != q ^ 1 and u >> 1 not in inside and level[u >> 1] > 0 for u in r.lits
+        ):
+            want.append(q)
+    top = max((level[q >> 1] for q in want), default=0)
+    if want:
+        k = next(k for k, q in enumerate(want) if level[q >> 1] == top)
+        want[0], want[k] = want[k], want[0]
+    if rest != want:
+        raise AssertionError(f"learnt clause {learnt} has tail {rest}, expected {want}")
+    if assert_level != top:
+        raise AssertionError(f"assertion level {assert_level}, expected {top}")
+    levels = len({level[q >> 1] for q in learnt})
+    if lbd != levels:
+        raise AssertionError(f"lbd {lbd}, but the clause spans {levels} levels")
+    if any(solver.seen):
+        raise AssertionError("seen is not all zero after analysis")

@@ -27,6 +27,7 @@ from chronosat.verify import brute_force_solve, check_model
 from invariants import (
     check_conflict,
     check_invariants,
+    check_learnt,
     check_queue_start,
     debug_check_watches,
 )
@@ -273,6 +274,12 @@ def test_backtrack_to_zero_clears_everything():
 
 def test_luby_sequence_prefix():
     assert [luby(i) for i in range(15)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+
+@pytest.mark.parametrize("index", [-1, -7])
+def test_luby_rejects_a_negative_index(index):
+    with pytest.raises(ValueError, match=f"got {index}"):
+        luby(index)
 
 
 def test_restart_preserves_saved_phases_and_resets_mode():
@@ -726,7 +733,8 @@ def test_watch_invariants_hold_after_solving():
 
 
 class QueueCheckedSolver(Solver):
-    """Checks where each propagation starts and where a conflict stops it."""
+    """Checks where each propagation starts, where a conflict stops it and
+    the clause each conflict's analysis learns."""
 
     def _propagate(self):
         check_queue_start(self)
@@ -734,6 +742,16 @@ class QueueCheckedSolver(Solver):
         if confl is not None:
             check_conflict(self, confl)
         return confl
+
+    def _analyze(self, confl, conflict_level):
+        self.bumped = []
+        learnt, assert_level, lbd = super()._analyze(confl, conflict_level)
+        check_learnt(self, conflict_level, self.bumped, learnt, assert_level, lbd)
+        return learnt, assert_level, lbd
+
+    def _var_bump(self, v):
+        self.bumped.append(v)
+        super()._var_bump(v)
 
 
 class CheckedSolver(QueueCheckedSolver):
@@ -841,6 +859,46 @@ def test_check_queue_start_rejects_a_head_before_the_open_level():
     s.qhead = 0
     with pytest.raises(AssertionError, match="before position 3, where level 2 opens"):
         check_queue_start(s)
+
+
+def test_analysis_drops_a_literal_whose_reason_is_inside_the_clause():
+    # x1 at level 1 implies x2; deciding x3 at level 2 implies ~x4 through
+    # the long clause, which falsifies (~x3 v x4).  The walk collects ~x1
+    # and ~x2 below the conflict level, and ~x2 goes: its reason
+    # (x2 v ~x1) lies inside the clause.
+    s = QueueCheckedSolver(fml(4, [[-1, 2], [-4, -3, -1, -2], [-3, 4]]))
+    s.decision_level = 1
+    s._enqueue(lit(1), None, 1)
+    assert s._propagate() is None
+    s.decision_level = 2
+    s._enqueue(lit(3), None, 2)
+    confl = s._propagate()
+    assert confl is not None
+    assert s._analyze(confl, 2) == ([lit(-3), lit(-1)], 1, 2)
+    assert lit(2) >> 1 in s.bumped
+
+
+def test_check_learnt_rejects_a_wrong_swap():
+    # ~x1 sits at level 1, ~x2 and ~x3 at level 2: the first of those two
+    # must be swapped to position 1, and that alone.
+    s = QueueCheckedSolver(fml(4, [[-4, -1, -2, -3]]))
+    for n, lv in ((1, 1), (2, 2), (3, 2), (4, 3)):
+        s.decision_level = lv
+        s._enqueue(lit(n), None, lv)
+    learnt = [lit(-4), lit(-2), lit(-1), lit(-3)]
+    assert s._analyze(s.clauses[0], 3) == (learnt, 2, 3)
+    last_swapped = [lit(-4), lit(-3), lit(-1), lit(-2)]
+    unswapped = [lit(-4), lit(-1), lit(-2), lit(-3)]
+    for wrong in (last_swapped, unswapped):
+        with pytest.raises(AssertionError, match="has tail"):
+            check_learnt(s, 3, s.bumped, wrong, 2, 3)
+    with pytest.raises(AssertionError, match="assertion level 1"):
+        check_learnt(s, 3, s.bumped, learnt, 1, 3)
+    with pytest.raises(AssertionError, match="lbd 2"):
+        check_learnt(s, 3, s.bumped, learnt, 2, 2)
+    s.seen[0] = 1
+    with pytest.raises(AssertionError, match="seen"):
+        check_learnt(s, 3, s.bumped, learnt, 2, 3)
 
 
 # -- trail inspection -----------------------------------------------------------

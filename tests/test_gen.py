@@ -37,6 +37,24 @@ def test_random_ksat_rejects_too_few_variables():
         random_ksat(2)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"k": 0, "n_clauses": 2}, "k=0"),
+        ({"k": -1, "n_clauses": 2}, "k=-1"),
+        ({"n_clauses": -3}, "n_clauses >= 0, got -3"),
+        ({"ratio": -1.0}, "ratio >= 0"),
+    ],
+    ids=["k0", "k-1", "n_clauses", "ratio"],
+)
+def test_random_ksat_rejects_an_impossible_shape_before_drawing(kwargs, match):
+    rng = random.Random(4)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=match):
+        random_ksat(5, rng=rng, **kwargs)
+    assert rng.getstate() == state
+
+
 def test_random_ksat_accepts_shared_rng():
     rng = random.Random(3)
     f1 = random_ksat(6, n_clauses=4, rng=rng)
