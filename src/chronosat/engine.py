@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from dataclasses import replace
 from heapq import heapify, heappop, heappush
 from typing import Iterable, List, Optional, Tuple
 
@@ -165,6 +166,7 @@ class Solver:
         self.trail_lim: List[int] = []
         self.qhead = 0
         self.decision_level = 0
+        self.conflict_level = 0
 
         # watches[lit] is flat: clause, blocker, clause, blocker, ...
         self.watches: List[list] = [[] for _ in range(2 * n)]
@@ -234,7 +236,8 @@ class Solver:
     # -- propagation ----------------------------------------------------------
 
     def _propagate(self) -> Optional[Clause]:
-        """Propagate to fixpoint; returns a conflicting clause or None.
+        """Propagate to fixpoint; returns a conflicting clause, whose highest
+        level goes into conflict_level for the caller alone to read, or None.
 
         Each flat watch list is walked two slots at a time (clause, blocker)
         and compacted in place: a watcher that stays is written back at the
@@ -325,6 +328,7 @@ class Solver:
                 fval = value[first]
                 if fval < 0:
                     confl = c
+                    self.conflict_level = max(maxlev, level[first >> 1])
                     break
                 if fval == 0:
                     value[first] = 1
@@ -487,7 +491,8 @@ class Solver:
     # -- backtracking ---------------------------------------------------------
 
     def _backtrack_to(self, target: int) -> None:
-        """Remove exactly the trail entries above target, wherever they sit.
+        """Remove exactly the trail entries above target, wherever they sit;
+        raise ValueError, changing nothing, unless 0 <= target < len(trail_lim).
 
         One pass from trail_lim[target], the position where level target + 1
         opened: no entry before it is above target, so the prefix is never
@@ -501,10 +506,10 @@ class Solver:
         start, the first removed position: surviving entries that shift down
         are rescanned, so a clause watched by one of them and a literal
         erased here is looked at again.  No other code moves the head back."""
-        self.decision_level = target
         trail_lim = self.trail_lim
-        if target >= len(trail_lim):
-            return
+        if not 0 <= target < len(trail_lim):
+            raise ValueError(f"need 0 <= target < {len(trail_lim)}, got {target}")
+        self.decision_level = target
         i = trail_lim[target]
         del trail_lim[target:]
         trail = self.trail
@@ -593,9 +598,9 @@ class Solver:
     @_collector_paused
     def solve(self) -> SolveResult:
         """Search, check a SAT model against the formula and return the
-        result.  stats.wall_time_seconds adds this call's time to that of
-        earlier calls.  The cyclic collector is paused, process-wide, for
-        the duration of the call."""
+        result with its own copy of the counters, whose wall_time_seconds
+        adds this call's time to that of earlier calls.  The cyclic
+        collector is paused, process-wide, for the duration of the call."""
         start = time.monotonic()
         limit = self.config.time_limit_seconds
         verdict = self._search(None if limit is None else start + limit)
@@ -607,7 +612,7 @@ class Solver:
             if not check_model(self.formula, model):
                 raise RuntimeError("internal error: produced model fails a clause")
         self.stats.wall_time_seconds += time.monotonic() - start
-        return SolveResult(verdict, model=model, stats=self.stats)
+        return SolveResult(verdict, model=model, stats=replace(self.stats))
 
     def _search(self, deadline: Optional[float]) -> Verdict:
         """CDCL loop.  One step is one propagation to fixpoint followed by
@@ -619,24 +624,18 @@ class Solver:
             return Verdict.UNSAT
         cfg = self.config
         stats = self.stats
-        level = self.level
         while True:
             if deadline is not None and time.monotonic() > deadline:
                 return Verdict.UNKNOWN
             confl = self._propagate()
             if confl is not None:
-                conflict_level = 0
-                for l in confl.lits:
-                    lv = level[l >> 1]
-                    if lv > conflict_level:
-                        conflict_level = lv
-                if conflict_level == 0:
+                if self.conflict_level == 0:
                     stats.conflicts += 1
                     self.ok = False
                     return Verdict.UNSAT
-                learnt, assert_level, lbd = self._analyze(confl, conflict_level)
+                learnt, assert_level, lbd = self._analyze(confl, self.conflict_level)
                 target, is_cb = choose_backtrack_level(
-                    conflict_level, assert_level, stats.conflicts, cfg
+                    self.conflict_level, assert_level, stats.conflicts, cfg
                 )
                 stats.conflicts += 1
                 self._note_conflict(lbd)

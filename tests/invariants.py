@@ -121,9 +121,15 @@ def check_conflict(solver: Solver, confl: Clause) -> None:
 
     confl is falsified, and the literal whose watchers found it is the last
     one the queue head passed, trail[qhead - 1] (confl holds its negation):
-    the head stays past it until a backtrack rewinds it."""
+    the head stays past it until a backtrack rewinds it.  conflict_level is
+    the highest level in confl."""
     if any(solver.value[l] >= 0 for l in confl.lits):
         raise AssertionError(f"conflict {confl!r} is not falsified")
+    top = max(solver.level[l >> 1] for l in confl.lits)
+    if solver.conflict_level != top:
+        raise AssertionError(
+            f"conflict_level {solver.conflict_level}, but {confl!r} tops at {top}"
+        )
     trail, qhead = solver.trail, solver.qhead
     if not 0 < qhead <= len(trail) or trail[qhead - 1] ^ 1 not in confl.lits:
         raise AssertionError(f"queue head {qhead} did not find conflict {confl!r}")

@@ -1,5 +1,7 @@
+import copy
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import chronosat.engine as engine_module
 from chronosat.engine import Solver, choose_backtrack_level
@@ -143,11 +145,14 @@ def test_backtrack_to_removes_levels_above_target(levels, target, kept):
 
 @given(
     st.lists(st.tuples(st.integers(0, 8), st.booleans()), max_size=30),
-    st.integers(0, 8),
+    st.data(),
 )
-def test_backtrack_to_is_exact_and_order_preserving(entries, target):
+def test_backtrack_to_is_exact_and_order_preserving(entries, data):
     levels = [lvl for lvl, _ in entries]
     polarities = [pol for _, pol in entries]
+    assume(max(levels, default=0) > 0)
+    # The engine only backtracks below the top open level.
+    target = data.draw(st.integers(0, max(levels) - 1), label="target")
     s = _solver_with_trail(levels, polarities)
     trail_before = list(s.trail)
     erased = []
@@ -168,6 +173,18 @@ def test_backtrack_to_is_exact_and_order_preserving(entries, target):
     )
     assert s.qhead <= first_removed
     assert s.decision_level == target
+
+
+@pytest.mark.parametrize("target", [-1, 2, 3], ids=["negative", "top", "above-top"])
+def test_backtrack_to_rejects_a_target_outside_the_open_levels(target):
+    """A target must be an open level below the top one, here 0 or 1: -1,
+    the top level 2 and 3 raise ValueError and leave the state as it was."""
+    s = _solver_with_trail([1, 2, 1, 2], [True, False, False, True])
+    s.qhead = 3
+    before = copy.deepcopy((s.trail, s.trail_lim, s.decision_level, s.qhead, s.value))
+    with pytest.raises(ValueError):
+        s._backtrack_to(target)
+    assert (s.trail, s.trail_lim, s.decision_level, s.qhead, s.value) == before
 
 
 @pytest.mark.parametrize("seed", [2, 3])

@@ -269,7 +269,8 @@ def test_bench_writes_csv_row_per_instance(tmp_path, capsys):
         ["bench", str(corpus), "--phase-cb", "lsids", "--time-limit", "60", "--out", out]
     )
     assert rc == 0
-    lines = open(out).read().splitlines()
+    with open(out) as fh:
+        lines = fh.read().splitlines()
     assert lines[0].startswith("instance,configLabel,verdict,")
     assert len(lines) == 3
     assert lines[1].startswith("a.cnf,custom,SAT,")
@@ -283,7 +284,8 @@ def test_bench_label_defaults_to_preset(tmp_path):
     (corpus / "a.cnf").write_text(SAT_TEXT)
     out = str(tmp_path / "r.csv")
     assert main(["bench", str(corpus), "--preset", "mldc-like", "--out", out]) == 0
-    assert ",mldc-like," in open(out).read().splitlines()[1]
+    with open(out) as fh:
+        assert ",mldc-like," in fh.read().splitlines()[1]
 
 
 def test_bench_empty_corpus_exits_two(tmp_path):

@@ -217,6 +217,7 @@ def test_conflict_detected_on_fully_falsified_clause():
     confl = s._propagate()
     assert confl is not None
     assert sorted(confl.lits) == sorted([lit(1), lit(2)])
+    assert s.conflict_level == 2
 
 
 # -- backtracking surgery -----------------------------------------------------
@@ -1101,6 +1102,27 @@ def test_resumed_solve_reports_the_time_of_all_its_calls(monkeypatch):
     r = s.solve()
     assert r.verdict is Verdict.UNSAT
     assert r.stats.wall_time_seconds == total == 3 * 22
+
+
+def test_each_result_of_a_resumed_solve_keeps_its_own_counters(monkeypatch):
+    # Each call returns a copy: solving again must not change a result
+    # already returned, while the solver's own record goes on counting.
+    s = Solver(pigeonhole(6, 5), SolverConfig(time_limit_seconds=20.5))
+    kept = []
+    for _ in range(3):
+        monkeypatch.setattr(engine.time, "monotonic", StepClock())
+        r = s.solve()
+        assert r.verdict is Verdict.UNKNOWN
+        kept.append((r, counters(r), r.stats.wall_time_seconds))
+    monkeypatch.setattr(engine.time, "monotonic", lambda: 0.0)
+    last = s.solve()
+    assert last.verdict is Verdict.UNSAT
+    assert last.stats is not s.stats
+    assert last.stats.counter_items() == s.stats.counter_items()
+    for r, held, wall in kept:
+        assert (counters(r), r.stats.wall_time_seconds) == (held, wall)
+    # Each stopped call took 20 steps, so the kept results all differ.
+    assert len({held for _, held, _ in kept}) == 3
 
 
 # -- determinism ------------------------------------------------------------------
