@@ -244,6 +244,8 @@ class Solver:
         write index with its blocker refreshed, and one that moves to a new
         literal is appended there as a (clause, blocker) pair.
 
+        The head's travel is the propagation count: one step per dequeued
+        literal, the one a conflict interrupts included.
         On conflict the queue head stays just past the interrupted literal,
         whose unvisited watchers stay in its list, in order.  Only
         _backtrack_to moves the head back, and that one rewind is enough to
@@ -261,12 +263,10 @@ class Solver:
         trail = self.trail
         qhead = self.qhead
         confl: Optional[Clause] = None
-        props = 0
 
         while qhead < len(trail):
             p = trail[qhead]
             qhead += 1
-            props += 1
             plevel = level[p >> 1]
             false_lit = p ^ 1
             wl = watches[false_lit]
@@ -301,8 +301,8 @@ class Solver:
                     continue
                 # Search a replacement watch; every literal inspected and
                 # rejected is false, so the running max of their levels is
-                # the implied level if the clause turns out unit.
-                found = False
+                # the implied level if the clause turns out unit.  The else
+                # handles a miss; its break on a conflict leaves the list loop.
                 maxlev = plevel
                 k = 2
                 nlits = len(lits)
@@ -314,39 +314,37 @@ class Solver:
                         moved = watches[lk]
                         moved.append(c)
                         moved.append(first)
-                        found = True
                         break
                     lev = level[lk >> 1]
                     if lev > maxlev:
                         maxlev = lev
                     k += 1
-                if found:
-                    continue
-                wl[j] = c
-                wl[j + 1] = first
-                j += 2
-                fval = value[first]
-                if fval < 0:
-                    confl = c
-                    self.conflict_level = max(maxlev, level[first >> 1])
-                    break
-                if fval == 0:
-                    value[first] = 1
-                    value[first ^ 1] = -1
-                    v = first >> 1
-                    level[v] = maxlev
-                    reason[v] = c
-                    trail.append(first)
-                # else: first is true at a level above plevel; the clause is
-                # satisfied and first is still watched, so nothing to do.
+                else:
+                    wl[j] = c
+                    wl[j + 1] = first
+                    j += 2
+                    fval = value[first]
+                    if fval < 0:
+                        confl = c
+                        self.conflict_level = max(maxlev, level[first >> 1])
+                        break
+                    if fval == 0:
+                        value[first] = 1
+                        value[first ^ 1] = -1
+                        v = first >> 1
+                        level[v] = maxlev
+                        reason[v] = c
+                        trail.append(first)
+                    # else: first is true at a level above plevel; the clause
+                    # is satisfied and first is still watched: nothing to do.
             # Drop the slots left behind by moved watchers; after a conflict
             # the unvisited watchers from i on stay, in order.
             del wl[j:i]
             if confl is not None:
                 break
 
+        self.stats.propagations += qhead - self.qhead
         self.qhead = qhead
-        self.stats.propagations += props
         return confl
 
     # -- conflict analysis ----------------------------------------------------
@@ -501,11 +499,12 @@ class Solver:
         and every other entry is erased on the spot: its value slots and
         reason are cleared and its variable goes onto the decision heap when
         its newest entry there is gone or carries an older activity.  The
-        erased literals then go to the phase selector in one call, in
-        reverse assignment order.  The propagation head rewinds to the scan
-        start, the first removed position: surviving entries that shift down
-        are rescanned, so a clause watched by one of them and a literal
-        erased here is looked at again.  No other code moves the head back."""
+        erased literals then go to the phase selector in one call, in trail
+        order; the selector applies its LSIDS bumps newest first.  The
+        propagation head rewinds to the scan start, the first removed
+        position: surviving entries that shift down are rescanned, so a
+        clause watched by one of them and a literal erased here is looked at
+        again.  No other code moves the head back."""
         trail_lim = self.trail_lim
         if not 0 <= target < len(trail_lim):
             raise ValueError(f"need 0 <= target < {len(trail_lim)}, got {target}")
@@ -537,7 +536,6 @@ class Solver:
                 heap_act[v] = a
                 heappush(heap, (-a, v))
         del trail[j:]
-        removed.reverse()
         self.phase.on_assignments_erased(removed)
         if self.qhead > i:
             self.qhead = i

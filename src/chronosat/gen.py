@@ -19,8 +19,9 @@ def random_ksat(
     """Uniform random k-SAT: each clause picks k distinct variables and
     independent random signs.  Pass either n_clauses or a clause/variable
     ratio.  Deterministic for a fixed rng/seed.  An impossible shape
-    (k < 1, fewer than k variables, a negative clause count or ratio) is
-    rejected before any draw, so a shared rng is left untouched."""
+    (k < 1, fewer than k variables, a negative clause count, a negative or
+    non-finite ratio) is rejected before any draw, so a shared rng is left
+    untouched."""
     if k < 1:
         raise ValueError(f"need k >= 1 literals per clause, got k={k}")
     if n_vars < k:
@@ -28,8 +29,8 @@ def random_ksat(
     if rng is None:
         rng = random.Random(seed)
     if n_clauses is None:
-        if ratio < 0:
-            raise ValueError(f"need a clause/variable ratio >= 0, got {ratio}")
+        if not 0 <= ratio < float("inf"):  # NaN fails too
+            raise ValueError(f"need a finite clause/variable ratio >= 0, got {ratio}")
         n_clauses = round(ratio * n_vars)
     if n_clauses < 0:
         raise ValueError(f"need n_clauses >= 0, got {n_clauses}")

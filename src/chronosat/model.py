@@ -194,6 +194,8 @@ class SolverConfig:
             raise ValueError("luby_base must be >= 1")
         if self.clause_db_init_limit < 1:
             raise ValueError("clause_db_init_limit must be >= 1")
+        if not isinstance(self.random_seed, int):  # None would seed from the OS
+            raise ValueError(f"random_seed must be an int, got {self.random_seed!r}")
         limit = self.time_limit_seconds
         if limit is not None and not 0 < limit < float("inf"):  # NaN fails too
             raise ValueError("time_limit_seconds must be finite and positive")

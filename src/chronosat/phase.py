@@ -24,17 +24,19 @@ None and no erase, learnt clause or decision touches them.  A configured
 heuristic's state is updated whichever heuristic is currently dispatched,
 so switching mid-search (the backtrack-mode dispatch) always sees warm
 scores.  The engine hands over the erased literals of a backtrack in one
-batch, and the erase updates are applied in erase order (reverse
-assignment order), exactly as one call per literal would apply them.  One
-LSIDS bump loop serves both erased literals and learnt clauses; a rescore
-in the middle of a batch shrinks the increment for the literals after it.
+batch, in trail order.  Saved phases and DPS scores are per variable, and
+a variable is erased at most once per batch, so their updates ignore the
+order; LSIDS bumps the batch newest first, exactly as one call per literal
+in reverse trail order would.  One LSIDS bump loop serves both erased
+literals and learnt clauses; a rescore in the middle of a batch shrinks the
+increment for the literals after it, so the bump order counts.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import fields
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from .model import PhaseHeuristic, SolverConfig, SolverStats, make_literal
 
@@ -68,9 +70,9 @@ class PhaseSelector:
     # -- state maintenance hooks -------------------------------------------
 
     def on_assignments_erased(self, lits: Sequence[int]) -> None:
-        """Called once per backtrack with the erased literals, in erase
+        """Called once per backtrack with the erased literals, in trail
         order; updates the saved phase of each, and its DPS score and LSIDS
-        activity when those are kept."""
+        activity when those are kept.  LSIDS is bumped newest first."""
         saved = self.saved
         for lit in lits:
             saved[lit >> 1] = not lit & 1
@@ -81,7 +83,7 @@ class PhaseSelector:
                 var = lit >> 1
                 dps[var] = (-1.0 if lit & 1 else 1.0) + decay * dps[var]
         if self.lsids_activity is not None:
-            self.lsids_bump(lits, LSIDS_ERASE_MULT)
+            self.lsids_bump(reversed(lits), LSIDS_ERASE_MULT)
 
     def on_assignment_erased(self, var: int, polarity: bool) -> None:
         """One erased assignment; see on_assignments_erased."""
@@ -95,7 +97,7 @@ class PhaseSelector:
         self.lsids_bump(lits, LSIDS_LEARNT_MULT)
         self.lsids_inc *= LSIDS_DECAY_FACTOR
 
-    def lsids_bump(self, lits: Sequence[int], mult: float) -> None:
+    def lsids_bump(self, lits: Iterable[int], mult: float) -> None:
         """Add mult times the increment to each literal's activity, in
         order.  A rescore shrinks the increment for the rest of the batch."""
         acts = self.lsids_activity

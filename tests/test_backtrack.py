@@ -167,7 +167,7 @@ def test_backtrack_to_is_exact_and_order_preserving(entries, data):
     assert s.trail == kept
     for lit in removed:
         assert s.value[lit] == 0 and s.value[lit ^ 1] == 0
-    assert erased == [(lit >> 1, (lit & 1) == 0) for lit in reversed(removed)]
+    assert erased == [(lit >> 1, (lit & 1) == 0) for lit in removed]
     first_removed = next(
         (pos for pos, lvl in enumerate(levels) if lvl > target), len(levels)
     )

@@ -111,6 +111,25 @@ def test_propagation_counts_queue_pops():
     s.solve()
     assert s.stats.propagations == 3
 
+    # On a conflict.  Trail x1@1, x4@2, x2@1; (~x4 or x3) implies x3@2
+    # behind x2, and dequeuing x2 falsifies (~x2 or ~x3).  The count takes
+    # x1, x4 and the interrupted x2, but not x3, which was never dequeued.
+    f = fml(4, [[-4, 3], [-2, -3]])
+    s = Solver(f)
+    s.decision_level = 2
+    s._enqueue(lit(1), None, 1)
+    s._enqueue(lit(4), None, 2)
+    s._enqueue(lit(2), None, 1)
+    assert s._propagate() is not None
+    assert s.trail == [lit(1), lit(4), lit(2), lit(3)]
+    assert (s.qhead, s.stats.propagations) == (3, 3)
+    # Backtracking to level 1 erases x4 and x3 and rewinds the head to x2,
+    # which shifts down; the second call counts x2 again, then ~x3 and ~x4.
+    s._backtrack_to(1)
+    assert s._propagate() is None
+    assert s.trail == [lit(1), lit(2), lit(-3), lit(-4)]
+    assert s.stats.propagations == 3 + 3
+
 
 def test_implied_literal_level_is_max_falsified_level():
     # Clause (x1 or x2 or x3) becomes unit after ~x1 and ~x2 are planted at

@@ -44,8 +44,10 @@ def test_random_ksat_rejects_too_few_variables():
         ({"k": -1, "n_clauses": 2}, "k=-1"),
         ({"n_clauses": -3}, "n_clauses >= 0, got -3"),
         ({"ratio": -1.0}, "ratio >= 0"),
+        ({"ratio": float("inf")}, "ratio >= 0, got inf"),
+        ({"ratio": float("nan")}, "ratio >= 0, got nan"),
     ],
-    ids=["k0", "k-1", "n_clauses", "ratio"],
+    ids=["k0", "k-1", "n_clauses", "ratio", "ratio-inf", "ratio-nan"],
 )
 def test_random_ksat_rejects_an_impossible_shape_before_drawing(kwargs, match):
     rng = random.Random(4)

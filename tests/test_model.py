@@ -137,6 +137,8 @@ def test_config_accepts_zero_thresholds():
         # never trip the deadline and the solve would run unbounded.
         {"time_limit_seconds": float("nan")},
         {"time_limit_seconds": float("inf")},
+        # random.Random(None) seeds from the OS, so seeded runs would differ.
+        {"random_seed": None},
     ],
 )
 def test_config_validation_errors(kwargs):

@@ -181,27 +181,33 @@ def test_learnt_bump_equals_one_bump_per_literal():
 
 
 def test_batched_erase_equals_one_call_per_literal():
-    # a: var 0 True, b: var 1 False, c: var 2 True.  b's bump pushes its
-    # activity past the limit, so the rescore fires in the middle of the
-    # batch and c must be bumped with the rescored increment.
+    # A batch comes in trail order a, b, c (a: var 0 True, b: var 1 False,
+    # c: var 2 True) and equals single calls newest first: c, b, a.  b's
+    # bump pushes its activity past the limit, so the rescore fires in the
+    # middle of the batch and a must be bumped with the rescored increment.
+    # Bumping before or after the rescore rounds differently here, so single
+    # calls in trail order give other activities.
     a, b, c = 0, 3, 4
-    pair = [
+    sels = [
         selector(n_vars=3, ncb_phase_heuristic="dps", cb_phase_heuristic="lsids")[0]
-        for _ in range(2)
+        for _ in range(3)
     ]
-    for sel in pair:
+    for sel in sels:
         sel.dps[:] = [0.25, -0.5, 0.125]
-        sel.lsids_activity[:] = [1.5, 0.0, 0.0, LSIDS_RESCORE_LIMIT * 0.99, 7.0, 0.0]
+        sel.lsids_activity[:] = [1.5e98, 0.0, 0.0, LSIDS_RESCORE_LIMIT * 0.99, 5e97, 0.0]
         sel.lsids_inc = LSIDS_RESCORE_LIMIT * 0.01
-    batched, single = pair
+    batched, single, trail_order = sels
     batched.on_assignments_erased([a, b, c])
-    for lit in (a, b, c):
+    for lit in (c, b, a):
         single.on_assignment_erased(lit >> 1, (lit & 1) == 0)
+    for lit in (a, b, c):
+        trail_order.on_assignment_erased(lit >> 1, (lit & 1) == 0)
     assert single.lsids_inc < 1.0  # the rescore fired
     assert batched.saved == single.saved == [True, False, True]
     assert batched.dps == single.dps
     assert batched.lsids_activity == single.lsids_activity
     assert batched.lsids_inc == single.lsids_inc
+    assert trail_order.lsids_activity != batched.lsids_activity
 
 
 def test_lsids_phase_strict_comparison_ties_pick_negative():
