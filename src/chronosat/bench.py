@@ -153,13 +153,15 @@ def _run_file(path: str, configs: Sequence[Tuple[str, SolverConfig]]) -> List[Ru
         _current_file = None
 
 
-def discover_instances(source: Union[str, Iterable[str]]) -> List[str]:
-    """A directory becomes its sorted *.cnf files; an iterable passes through.
+def discover_instances(source: Union[str, os.PathLike, Iterable[str]]) -> List[str]:
+    """A directory, as str or path, becomes its sorted *.cnf files; an
+    iterable passes through.
 
     A record names its instance by the file's basename, so two paths with
     one basename are rejected.
     """
-    if isinstance(source, str):
+    if isinstance(source, (str, os.PathLike)):
+        source = os.fspath(source)
         if not os.path.isdir(source):
             raise ValueError(f"not a directory: {source}")
         paths = sorted(glob(os.path.join(escape(source), "*.cnf")))
@@ -179,7 +181,7 @@ def discover_instances(source: Union[str, Iterable[str]]) -> List[str]:
 
 
 def run_suite(
-    instances: Union[str, Iterable[str]],
+    instances: Union[str, os.PathLike, Iterable[str]],
     configs: Sequence[Tuple[str, SolverConfig]],
     time_limit: Optional[float] = None,
     workers: int = 1,

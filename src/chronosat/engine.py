@@ -165,6 +165,7 @@ class Solver:
         # entry before it has a level <= k.
         self.trail_lim: List[int] = []
         self.qhead = 0
+        # Always len(trail_lim): only _enqueue and _backtrack_to set it.
         self.decision_level = 0
         self.conflict_level = 0
 
@@ -222,6 +223,8 @@ class Solver:
             wl.append(l0)
 
     def _enqueue(self, lit: int, reason: Optional[Clause], level: int) -> None:
+        """Assign lit at level, opening every level up to it at the trail's
+        end and recording in decision_level how many are open."""
         self.value[lit] = 1
         self.value[lit ^ 1] = -1
         v = lit >> 1
@@ -231,6 +234,7 @@ class Solver:
         trail_lim = self.trail_lim
         while len(trail_lim) < level:
             trail_lim.append(len(trail))
+        self.decision_level = len(trail_lim)
         trail.append(lit)
 
     # -- propagation ----------------------------------------------------------
@@ -664,8 +668,7 @@ class Solver:
                     return Verdict.SAT
                 phase = self.phase.select_phase(v, self.in_cb_state)
                 stats.decisions += 1
-                self.decision_level += 1
-                self._enqueue(2 * v + (0 if phase else 1), None, self.decision_level)
+                self._enqueue(2 * v + (0 if phase else 1), None, self.decision_level + 1)
 
 
 def solve_formula(

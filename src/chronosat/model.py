@@ -184,18 +184,22 @@ class SolverConfig:
     time_limit_seconds: Optional[float] = None
 
     def __post_init__(self):
-        if self.cb_threshold_t < 0:
-            raise ValueError("cb_threshold_t must be >= 0")
-        if self.cb_min_conflicts_c < 0:
-            raise ValueError("cb_min_conflicts_c must be >= 0")
+        # These knobs are compared with counters: a NaN one fails every
+        # comparison and silently switches its rule off.  A None seed would
+        # seed from the OS.
+        for name, minimum in (
+            ("cb_threshold_t", 0),
+            ("cb_min_conflicts_c", 0),
+            ("luby_base", 1),
+            ("clause_db_init_limit", 1),
+            ("random_seed", None),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, int) or minimum is not None and value < minimum:
+                bound = "" if minimum is None else f" >= {minimum}"
+                raise ValueError(f"{name} must be an int{bound}, got {value!r}")
         if not (0.0 < self.dps_decay < 1.0):
             raise ValueError("dps_decay must lie strictly inside (0, 1)")
-        if self.luby_base < 1:
-            raise ValueError("luby_base must be >= 1")
-        if self.clause_db_init_limit < 1:
-            raise ValueError("clause_db_init_limit must be >= 1")
-        if not isinstance(self.random_seed, int):  # None would seed from the OS
-            raise ValueError(f"random_seed must be an int, got {self.random_seed!r}")
         limit = self.time_limit_seconds
         if limit is not None and not 0 < limit < float("inf"):  # NaN fails too
             raise ValueError("time_limit_seconds must be finite and positive")

@@ -24,7 +24,8 @@ def check_model(formula: Formula, model: List[bool]) -> bool:
     """True iff the total assignment satisfies every clause.
 
     Raises ValueError when the model length does not match the formula's
-    variable count; a partial assignment cannot be checked.
+    variable count, since a partial assignment cannot be checked, or when a
+    value is not a bool.
     """
     return first_falsified_clause(formula, model) is None
 
@@ -89,13 +90,17 @@ def first_falsified_clause(formula: Formula, model: List[bool]) -> Optional[int]
     """Index of the first clause the model falsifies, or None.
 
     Raises ValueError when the model length does not match the formula's
-    variable count.
+    variable count, or when a value is neither True nor False (0 and 1
+    compare equal to them and pass).
     """
     if len(model) != formula.variable_count:
         raise ValueError(
             f"model has {len(model)} values, formula has "
             f"{formula.variable_count} variables"
         )
+    for v, x in enumerate(model):
+        if x not in (True, False):
+            raise ValueError(f"model value {x!r} of variable {v + 1} is not a bool")
     for i, clause in enumerate(formula.clauses):
         for lit in clause:
             if model[lit >> 1] != lit & 1:

@@ -45,8 +45,9 @@ def check_invariants(solver: Solver) -> None:
     """Assert the solver's state at a conflict-free propagation fixpoint.
 
     On top of debug_check_watches: the value table holds exactly the
-    trail's assignments; trail_lim has one entry per open level and no
-    entry before trail_lim[k] sits above level k; no clause is falsified
+    trail's assignments; trail_lim has one entry per open level, which
+    decision_level counts (_enqueue and _backtrack_to keep the two equal),
+    and no entry before trail_lim[k] sits above level k; no clause is falsified
     or unit; every reason holds its implied literal at position 0, with
     the rest false; and an implied literal's level is the highest level
     among its reason's other literals (the levels chronological

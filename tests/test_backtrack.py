@@ -120,7 +120,6 @@ def _solver_with_trail(levels, polarities):
     s = Solver(Formula(len(levels), []))
     for var, (lvl, pol) in enumerate(zip(levels, polarities)):
         s._enqueue(make_literal(var, pol), None, lvl)
-    s.decision_level = max(levels, default=0)
     s.qhead = len(s.trail)
     return s
 

@@ -452,6 +452,17 @@ def test_discover_instances_reads_a_directory_whose_name_is_a_glob_pattern(tmp_p
     assert discover_instances(str(runs)) == [path]
 
 
+def test_run_suite_takes_a_directory_as_a_path(tmp_path):
+    a = _write(tmp_path, "a_sat.cnf", SAT_TEXT)
+    b = _write(tmp_path, "b_unsat.cnf", UNSAT_TEXT)
+    assert discover_instances(tmp_path) == [a, b]
+    rows = run_suite(tmp_path, [("d", SolverConfig())])
+    assert [(r.instance, r.verdict) for r in rows] == [
+        ("a_sat.cnf", "SAT"),
+        ("b_unsat.cnf", "UNSAT"),
+    ]
+
+
 def test_worker_count_does_not_change_results(tmp_path, pack_dir):
     for k in range(4):
         text = SAT_TEXT if k % 2 == 0 else UNSAT_TEXT

@@ -116,7 +116,6 @@ def test_propagation_counts_queue_pops():
     # x1, x4 and the interrupted x2, but not x3, which was never dequeued.
     f = fml(4, [[-4, 3], [-2, -3]])
     s = Solver(f)
-    s.decision_level = 2
     s._enqueue(lit(1), None, 1)
     s._enqueue(lit(4), None, 2)
     s._enqueue(lit(2), None, 1)
@@ -137,7 +136,6 @@ def test_implied_literal_level_is_max_falsified_level():
     # at the current decision level.
     f = fml(5, [[1, 2, 3]])
     s = Solver(f)
-    s.decision_level = 9
     s._enqueue(lit(-1), None, 3)
     s._enqueue(lit(-2), None, 7)
     confl = s._propagate()
@@ -149,7 +147,6 @@ def test_implied_literal_level_is_max_falsified_level():
 def test_binary_implied_literal_level_follows_falsifier():
     f = fml(3, [[1, 2]])
     s = Solver(f)
-    s.decision_level = 5
     s._enqueue(lit(-1), None, 4)
     assert s._propagate() is None
     assert s.value[lit(2)] > 0
@@ -162,7 +159,6 @@ def test_binary_clause_satisfied_above_falsifier_implies_after_backtrack():
     # erases x2 and leaves ~x1; propagating again must imply x2 at level 2.
     f = fml(2, [[1, 2]])
     s = Solver(f)
-    s.decision_level = 5
     s._enqueue(lit(2), None, 5)
     s._enqueue(lit(-1), None, 2)
     assert s._propagate() is None
@@ -191,7 +187,6 @@ def test_conflict_keeps_later_watchers_of_the_same_literal_in_order():
     s._enqueue(lit(7), None, 2)
     s._enqueue(lit(-1), None, 1)
     s._enqueue(lit(-2), None, 2)
-    s.decision_level = 2
     s.qhead = 2
     check_queue_start(s)
     confl = s._propagate()
@@ -230,7 +225,6 @@ def test_debug_check_watches_rejects_a_broken_flat_layout():
 def test_conflict_detected_on_fully_falsified_clause():
     f = fml(2, [[1, 2]])
     s = Solver(f)
-    s.decision_level = 2
     s._enqueue(lit(-1), None, 1)
     s._enqueue(lit(-2), None, 2)
     confl = s._propagate()
@@ -242,13 +236,24 @@ def test_conflict_detected_on_fully_falsified_clause():
 # -- backtracking surgery -----------------------------------------------------
 
 
+def test_enqueue_records_the_open_levels_in_decision_level():
+    # Each enqueue opens the levels up to its own and records how many are
+    # open; one at or below the top level opens none.
+    s = Solver(Formula(5, []))
+    for n, lv in ((1, 1), (2, 3), (-3, 2), (4, 3)):
+        s._enqueue(lit(n), None, lv)
+    assert s.decision_level == len(s.trail_lim) == 3
+    s._backtrack_to(2)
+    s._enqueue(lit(5), None, 1)
+    assert s.decision_level == len(s.trail_lim) == 2
+
+
 def test_backtrack_removes_only_levels_above_target():
     s = Solver(Formula(4, []))
     s._enqueue(lit(1), None, 1)
     s._enqueue(lit(2), None, 3)
     s._enqueue(lit(-3), None, 2)
     s._enqueue(lit(4), None, 3)
-    s.decision_level = 3
     s._backtrack_to(2)
     assert s.trail == [lit(1), lit(-3)]
     assert s.decision_level == 2
@@ -261,7 +266,6 @@ def test_backtrack_updates_saved_phase_for_erased_only():
     s._enqueue(lit(1), None, 1)
     s._enqueue(lit(-2), None, 2)
     s._enqueue(lit(3), None, 3)
-    s.decision_level = 3
     s._backtrack_to(1)
     assert s.phase.saved == [False, False, True]
 
@@ -272,7 +276,6 @@ def test_backtrack_rewinds_qhead_to_first_removed_position():
     s._enqueue(lit(2), None, 2)
     s._enqueue(lit(3), None, 1)
     s._enqueue(lit(4), None, 2)
-    s.decision_level = 2
     s.qhead = 4
     s._backtrack_to(1)
     assert s.trail == [lit(1), lit(3)]
@@ -283,7 +286,6 @@ def test_backtrack_to_zero_clears_everything():
     s = Solver(Formula(2, []))
     s._enqueue(lit(1), None, 1)
     s._enqueue(lit(2), None, 2)
-    s.decision_level = 2
     s._backtrack_to(0)
     assert s.trail == []
     assert s.decision_level == 0
@@ -304,11 +306,8 @@ def test_luby_rejects_a_negative_index(index):
 
 def test_restart_preserves_saved_phases_and_resets_mode():
     s = Solver(Formula(3, []))
-    s.decision_level = 1
     s._enqueue(lit(1), None, 1)
-    s.decision_level = 2
     s._enqueue(lit(-2), None, 2)
-    s.decision_level = 3
     s._enqueue(lit(3), None, 3)
     s.in_cb_state = True
     s._restart()
@@ -813,7 +812,6 @@ def test_invariants_hold_at_every_propagation_under_chronological_backtracking(
 
 def test_check_invariants_rejects_a_broken_state():
     s = Solver(fml(3, [[1, 2], [-1, 3]]))
-    s.decision_level = 1
     s._enqueue(lit(1), None, 1)
     assert s._propagate() is None
     check_invariants(s)
@@ -852,7 +850,6 @@ def test_check_invariants_rejects_a_broken_state():
 
 def test_check_conflict_rejects_a_queue_head_off_the_conflict():
     s = Solver(fml(3, [[1, 2], [1, 3], [-2, -3]]))
-    s.decision_level = 1
     s._enqueue(lit(-1), None, 1)
     confl = s._propagate()
     assert confl is not None
@@ -869,11 +866,9 @@ def test_check_conflict_rejects_a_queue_head_off_the_conflict():
 def test_check_queue_start_rejects_a_head_before_the_open_level():
     s = Solver(fml(4, [[1, 2], [-2, 3]]))
     check_queue_start(s)
-    s.decision_level = 1
     s._enqueue(lit(-1), None, 1)
     check_queue_start(s)
     assert s._propagate() is None
-    s.decision_level = 2
     s._enqueue(lit(4), None, 2)
     check_queue_start(s)
     s.qhead = 0
@@ -887,10 +882,8 @@ def test_analysis_drops_a_literal_whose_reason_is_inside_the_clause():
     # and ~x2 below the conflict level, and ~x2 goes: its reason
     # (x2 v ~x1) lies inside the clause.
     s = QueueCheckedSolver(fml(4, [[-1, 2], [-4, -3, -1, -2], [-3, 4]]))
-    s.decision_level = 1
     s._enqueue(lit(1), None, 1)
     assert s._propagate() is None
-    s.decision_level = 2
     s._enqueue(lit(3), None, 2)
     confl = s._propagate()
     assert confl is not None
@@ -903,7 +896,6 @@ def test_check_learnt_rejects_a_wrong_swap():
     # must be swapped to position 1, and that alone.
     s = QueueCheckedSolver(fml(4, [[-4, -1, -2, -3]]))
     for n, lv in ((1, 1), (2, 2), (3, 2), (4, 3)):
-        s.decision_level = lv
         s._enqueue(lit(n), None, lv)
     learnt = [lit(-4), lit(-2), lit(-1), lit(-3)]
     assert s._analyze(s.clauses[0], 3) == (learnt, 2, 3)

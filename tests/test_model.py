@@ -139,10 +139,24 @@ def test_config_accepts_zero_thresholds():
         {"time_limit_seconds": float("inf")},
         # random.Random(None) seeds from the OS, so seeded runs would differ.
         {"random_seed": None},
+        # NaN fails every comparison: a NaN T never goes chronological, a
+        # NaN luby_base never restarts, a NaN limit never reduces the DB.
+        *(
+            {name: bad}
+            for name in (
+                "cb_threshold_t",
+                "cb_min_conflicts_c",
+                "luby_base",
+                "clause_db_init_limit",
+                "random_seed",
+            )
+            for bad in (float("nan"), float("inf"), 2.5)
+        ),
     ],
 )
 def test_config_validation_errors(kwargs):
-    with pytest.raises(ValueError):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
         SolverConfig(**kwargs)
 
 

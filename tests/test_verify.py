@@ -46,6 +46,22 @@ def test_check_model_requires_total_assignment():
         check_model(f, [True])
 
 
+@pytest.mark.parametrize(
+    "formula, model",
+    [
+        (pigeonhole(2, 1), [None, None]),
+        # 2 equals neither False nor True, so it would "satisfy" x and ~x.
+        (Formula(1, [(0,), (1,)]), [2]),
+    ],
+    ids=["none-on-unsat", "two-on-contradiction"],
+)
+def test_check_model_rejects_a_value_that_is_not_a_bool(formula, model):
+    with pytest.raises(ValueError, match="not a bool"):
+        check_model(formula, model)
+    # 0 and 1 compare equal to False and True, so they stay accepted.
+    assert check_model(Formula(2, [(0,), (3,)]), [1, 0]) is True
+
+
 def test_check_model_empty_clause_never_satisfied():
     f = Formula(1, [make_clause([])])
     assert check_model(f, [True]) is False
