@@ -202,8 +202,8 @@ def run_suite(
     labels = [label for label, _ in configs]
     if len(set(labels)) != len(labels):
         raise ValueError("configuration labels must be unique")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an int >= 1, got {workers!r}")
     if time_limit is not None:
         configs = [
             (label, replace(cfg, time_limit_seconds=time_limit)) for label, cfg in configs
@@ -326,14 +326,22 @@ def scatter_points(
 ) -> List[ScatterPoint]:
     """Per-instance time pairs for two configurations.
 
-    Both configurations must cover exactly the same instances.  Unsolved
-    runs are clamped to 2 * time_limit and flagged, so they sit on the
-    plot's penalty edge instead of vanishing.
+    Both configurations must cover exactly the same instances, with one
+    record each.  Unsolved runs are clamped to 2 * time_limit and flagged,
+    so they sit on the plot's penalty edge instead of vanishing.
     """
     if not 0 < time_limit < float("inf"):
         raise ValueError("time_limit must be finite and positive")
-    a_rows = {r.instance: r for r in records if r.config_label == label_a}
-    b_rows = {r.instance: r for r in records if r.config_label == label_b}
+    a_rows, b_rows = {}, {}
+    for r in records:
+        for label, rows in ((label_a, a_rows), (label_b, b_rows)):
+            if r.config_label == label:
+                if r.instance in rows:
+                    raise ValueError(
+                        f"second record for instance {r.instance!r} "
+                        f"under configLabel {label!r}"
+                    )
+                rows[r.instance] = r
     if set(a_rows) != set(b_rows):
         raise ValueError(
             f"instance sets differ between {label_a!r} and {label_b!r}"

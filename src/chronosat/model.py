@@ -98,8 +98,10 @@ class Formula:
     clauses: List[Tuple[int, ...]] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.variable_count < 0:
-            raise ValueError("variable_count must be non-negative")
+        if not isinstance(self.variable_count, int) or self.variable_count < 0:
+            raise ValueError(
+                f"variable_count must be an int >= 0, got {self.variable_count!r}"
+            )
         # A literal is in range when 0 <= l < 2 * variable_count.  One min
         # and one max over all literals decide it (a min and a max per
         # clause cost more than a Python comparison per literal), and only a

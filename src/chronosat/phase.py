@@ -144,9 +144,7 @@ class PhaseSelector:
             return False
         if heuristic is PhaseHeuristic.OPPOSITE_SAVED:
             return not self.saved[var]
-        if heuristic is PhaseHeuristic.DPS:
-            return self.dps[var] > 0.0
-        raise ValueError(f"unhandled heuristic {heuristic!r}")
+        return self.dps[var] > 0.0  # PhaseHeuristic.DPS
 
 
 def search_key(config: SolverConfig) -> tuple:

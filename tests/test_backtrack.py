@@ -164,6 +164,8 @@ def test_backtrack_to_is_exact_and_order_preserving(entries, data):
     kept = [lit for lit in trail_before if levels[lit >> 1] <= target]
     removed = [lit for lit in trail_before if levels[lit >> 1] > target]
     assert s.trail == kept
+    for lit in kept:
+        assert s.value[lit] > 0 and s.value[lit ^ 1] < 0
     for lit in removed:
         assert s.value[lit] == 0 and s.value[lit ^ 1] == 0
     assert erased == [(lit >> 1, (lit & 1) == 0) for lit in removed]

@@ -419,8 +419,9 @@ def test_run_suite_validation(tmp_path):
         run_suite(str(tmp_path), [])
     with pytest.raises(ValueError):
         run_suite(str(tmp_path), [("d", SolverConfig()), ("d", SolverConfig())])
-    with pytest.raises(ValueError):
-        run_suite(str(tmp_path), [("d", SolverConfig())], workers=0)
+    for workers in (0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=f"got {workers!r}$"):
+            run_suite(str(tmp_path), [("d", SolverConfig())], workers=workers)
     with pytest.raises(ValueError):
         discover_instances([])
 
@@ -661,6 +662,16 @@ def test_scatter_points_requires_matching_instance_sets():
         scatter_points([], "x", "y", time_limit=1.0)
     with pytest.raises(ValueError):
         scatter_points(rows[:2], "x", "y", time_limit=0.0)
+
+
+def test_scatter_points_rejects_a_second_record_for_one_pair():
+    rows = [
+        rec(instance="a", label="x", time_s=1.0),
+        rec(instance="a", label="x", time_s=9.0),
+        rec(instance="a", label="y"),
+    ]
+    with pytest.raises(ValueError, match="instance 'a' under configLabel 'x'"):
+        scatter_points(rows, "x", "y", time_limit=10.0)
 
 
 @pytest.mark.parametrize("limit", [float("nan"), float("inf")])

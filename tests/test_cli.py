@@ -163,17 +163,6 @@ def test_explicit_flag_overrides_preset(tmp_path, capsys):
     assert int(cb_line.split("=")[1]) > 0
 
 
-def test_identical_invocations_byte_identical_stats(tmp_path, capsys):
-    path = write(tmp_path, "r.cnf", write_dimacs(random_ksat(40, ratio=4.3, seed=6)))
-    argv = ["solve", path, "--phase-ncb", "random", "--seed", "11"]
-    main(argv)
-    first = stat_lines(capsys.readouterr())
-    main(list(argv))
-    second = stat_lines(capsys.readouterr())
-    assert first == second
-    assert len(first) == 8
-
-
 def test_python_m_chronosat_runs_the_cli(repo_root, capsys):
     path = os.path.join(repo_root, "benchmarks", "pack50", "sat_000.cnf")
     assert main(["solve", path]) == 10

