@@ -66,7 +66,7 @@ def par2_score(records: Sequence[RunRecord], time_limit: float) -> float:
     """Mean penalised runtime: unsolved instances cost 2 * time_limit."""
     if not records:
         raise ValueError("PAR-2 over an empty record set is undefined")
-    if not 0 < time_limit < float("inf"):
+    if isinstance(time_limit, bool) or not 0 < time_limit < float("inf"):
         raise ValueError("time_limit must be finite and positive")
     total = 0.0
     for r in records:
@@ -202,7 +202,7 @@ def run_suite(
     labels = [label for label, _ in configs]
     if len(set(labels)) != len(labels):
         raise ValueError("configuration labels must be unique")
-    if not isinstance(workers, int) or workers < 1:
+    if type(workers) is not int or workers < 1:
         raise ValueError(f"workers must be an int >= 1, got {workers!r}")
     if time_limit is not None:
         configs = [
@@ -330,7 +330,7 @@ def scatter_points(
     record each.  Unsolved runs are clamped to 2 * time_limit and flagged,
     so they sit on the plot's penalty edge instead of vanishing.
     """
-    if not 0 < time_limit < float("inf"):
+    if isinstance(time_limit, bool) or not 0 < time_limit < float("inf"):
         raise ValueError("time_limit must be finite and positive")
     a_rows, b_rows = {}, {}
     for r in records:

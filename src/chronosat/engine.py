@@ -177,10 +177,6 @@ class Solver:
 
         self.var_activity: List[float] = [0.0] * n
         self.var_inc = 1.0
-        self.heap: List[tuple] = [(-0.0, v) for v in range(n)]
-        # heap_act[v] is the activity of v's newest heap entry, or -1.0 once
-        # that entry has been popped.
-        self.heap_act: List[float] = [0.0] * n
         self.cla_inc = 1.0
 
         self.seen = bytearray(n)
@@ -205,6 +201,7 @@ class Solver:
             elif value[clause[0]] == 0:
                 self._enqueue(clause[0], None, 0)
         self._attach(clauses)
+        self._rebuild_heap()
 
     # -- construction --------------------------------------------------------
 
@@ -450,36 +447,31 @@ class Solver:
             self.cla_inc *= CLA_RESCALE_FACTOR
 
     def _rebuild_heap(self) -> None:
+        """Build the decision heap: one entry (-var_activity[v], v) per
+        unassigned variable v, with heap_act[v] its activity, and heap_act
+        -1.0 for each assigned variable.  No other code assigns either.
+
+        Between rebuilds heap_act[v] is the activity of v's newest entry, or
+        -1.0 once that entry is popped, and each unassigned v has its newest
+        entry in the heap, equal to (-var_activity[v], v): only an erase in
+        _backtrack_to pushes, and only when that does not hold already.
+        Only assigned variables are bumped and activities only grow between
+        rebuilds, so v's entries carry distinct activities and its newest is
+        popped first.  Hence every pop may set heap_act[v] to -1.0, and a
+        pick need only skip entries of assigned variables."""
         acts = self.var_activity
         value = self.value
-        heap_act = self.heap_act
-        heap = []
-        for v in range(self.n_vars):
-            if value[v << 1] == 0:
-                heap_act[v] = acts[v]
-                heap.append((-acts[v], v))
-            else:
-                heap_act[v] = -1.0
+        heap_act = self.heap_act = [-1.0] * self.n_vars
+        heap = [(-acts[v], v) for v in range(self.n_vars) if value[v << 1] == 0]
+        for _, v in heap:
+            heap_act[v] = acts[v]
         heapify(heap)
         self.heap = heap
 
     def _pick_branch_var(self) -> Optional[int]:
         """Unassigned variable of maximal activity; ties go to the lowest
-        index via the heap ordering.
-
-        Invariant: every unassigned variable v has its newest entry in the
-        heap, and that entry is (-var_activity[v], v), so heap_act[v] ==
-        var_activity[v].  An erase pushes v only when that does not hold
-        already; a rebuild writes one entry per unassigned variable.  Only
-        assigned variables are bumped and activities only grow between
-        rebuilds, so v's entries carry distinct activities and its newest
-        entry is the first of them popped.  Hence a popped entry is v's
-        newest unless heap_act[v] is -1.0 already, and every pop can set it
-        to -1.0; the first entry popped for an unassigned variable is its
-        current one, and only entries of assigned variables need
-        skipping."""
-        if len(self.heap) > 4 * self.n_vars + 64:
-            self._rebuild_heap()
+        index via the heap ordering.  Pops entries, skipping those of
+        assigned variables (see _rebuild_heap for why that suffices)."""
         heap = self.heap
         heap_act = self.heap_act
         value = self.value
@@ -502,13 +494,14 @@ class Solver:
         target (left behind by chronological backtracks) shift down in order
         and every other entry is erased on the spot: its value slots and
         reason are cleared and its variable goes onto the decision heap when
-        its newest entry there is gone or carries an older activity.  The
-        erased literals then go to the phase selector in one call, in trail
-        order; the selector applies its LSIDS bumps newest first.  The
-        propagation head rewinds to the scan start, the first removed
-        position: surviving entries that shift down are rescanned, so a
-        clause watched by one of them and a literal erased here is looked at
-        again.  No other code moves the head back."""
+        its newest entry there is gone or carries an older activity; these
+        pushes are the heap's only growth, so a heap past 4 * n_vars + 64
+        entries is rebuilt after the pass.  The erased literals then go to
+        the phase selector in one call, in trail order; the selector applies
+        its LSIDS bumps newest first.  The propagation head rewinds to the
+        scan start, the first removed position: surviving entries that shift
+        down are rescanned, so a clause watched by one of them and a literal
+        erased here is looked at again.  No other code moves the head back."""
         trail_lim = self.trail_lim
         if not 0 <= target < len(trail_lim):
             raise ValueError(f"need 0 <= target < {len(trail_lim)}, got {target}")
@@ -540,6 +533,8 @@ class Solver:
                 heap_act[v] = a
                 heappush(heap, (-a, v))
         del trail[j:]
+        if len(heap) > 4 * self.n_vars + 64:
+            self._rebuild_heap()
         self.phase.on_assignments_erased(removed)
         if self.qhead > i:
             self.qhead = i

@@ -98,7 +98,7 @@ class Formula:
     clauses: List[Tuple[int, ...]] = field(default_factory=list)
 
     def __post_init__(self):
-        if not isinstance(self.variable_count, int) or self.variable_count < 0:
+        if type(self.variable_count) is not int or self.variable_count < 0:
             raise ValueError(
                 f"variable_count must be an int >= 0, got {self.variable_count!r}"
             )
@@ -197,13 +197,14 @@ class SolverConfig:
             ("random_seed", None),
         ):
             value = getattr(self, name)
-            if not isinstance(value, int) or minimum is not None and value < minimum:
+            if type(value) is not int or minimum is not None and value < minimum:
                 bound = "" if minimum is None else f" >= {minimum}"
                 raise ValueError(f"{name} must be an int{bound}, got {value!r}")
         if not (0.0 < self.dps_decay < 1.0):
             raise ValueError("dps_decay must lie strictly inside (0, 1)")
         limit = self.time_limit_seconds
-        if limit is not None and not 0 < limit < float("inf"):  # NaN fails too
+        # NaN fails the range test too; True would pass it as a 1 s limit.
+        if limit is not None and (isinstance(limit, bool) or not 0 < limit < float("inf")):
             raise ValueError("time_limit_seconds must be finite and positive")
         self.ncb_phase_heuristic = PhaseHeuristic(self.ncb_phase_heuristic)
         self.cb_phase_heuristic = PhaseHeuristic(self.cb_phase_heuristic)

@@ -419,7 +419,7 @@ def test_run_suite_validation(tmp_path):
         run_suite(str(tmp_path), [])
     with pytest.raises(ValueError):
         run_suite(str(tmp_path), [("d", SolverConfig()), ("d", SolverConfig())])
-    for workers in (0, 1.5, float("nan")):
+    for workers in (0, 1.5, float("nan"), True):
         with pytest.raises(ValueError, match=f"got {workers!r}$"):
             run_suite(str(tmp_path), [("d", SolverConfig())], workers=workers)
     with pytest.raises(ValueError):
@@ -674,7 +674,7 @@ def test_scatter_points_rejects_a_second_record_for_one_pair():
         scatter_points(rows, "x", "y", time_limit=10.0)
 
 
-@pytest.mark.parametrize("limit", [float("nan"), float("inf")])
+@pytest.mark.parametrize("limit", [float("nan"), float("inf"), True])
 def test_non_finite_limits_are_rejected(tmp_path, limit):
     rows = [rec(instance="a", label="x"), rec(instance="a", label="y")]
     with pytest.raises(ValueError, match="finite and positive"):

@@ -404,6 +404,12 @@ def test_branching_ties_prefer_lowest_index():
     assert s._pick_branch_var() == 0
 
 
+def test_level_zero_units_never_enter_the_heap():
+    s = Solver(Formula(3, [(2,)]))  # the unit assigns variable 1
+    assert sorted(s.heap) == [(-0.0, 0), (-0.0, 2)]
+    assert s.heap_act == [0.0, -1.0, 0.0]
+
+
 def test_bumped_variable_is_picked_first():
     s = Solver(Formula(5, []))
     s._enqueue(lit(4), None, 1)  # the engine only bumps assigned variables

@@ -101,7 +101,7 @@ def test_negative_variable_index_rejected():
         Formula(-1, [])
 
 
-@pytest.mark.parametrize("count", [2.5, float("nan"), "3"])
+@pytest.mark.parametrize("count", [2.5, float("nan"), "3", True])
 def test_formula_rejects_a_variable_count_that_is_not_an_int(count):
     with pytest.raises(ValueError, match=f"^variable_count must be an int >= 0, got {count!r}$"):
         Formula(count, [])
@@ -158,6 +158,13 @@ def test_config_accepts_zero_thresholds():
             )
             for bad in (float("nan"), float("inf"), 2.5)
         ),
+        # A bool is an int to isinstance, and True a 1 s limit to a range test.
+        {"cb_threshold_t": True},
+        {"cb_min_conflicts_c": False},
+        {"luby_base": True},
+        {"clause_db_init_limit": True},
+        {"random_seed": False},
+        {"time_limit_seconds": True},
     ],
 )
 def test_config_validation_errors(kwargs):
