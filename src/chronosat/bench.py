@@ -89,8 +89,8 @@ def solve_formula(formula: Formula, config: SolverConfig) -> SolveResult:
 
     A call on the formula of the per-file context (see `_current_file`)
     looks its search up, and stores it, under `search_key` and its sharing
-    rule; a shared result comes back as a copy of the verdict, model and
-    stats.  Any other call solves and stores nothing.
+    rule; a shared search comes back as its stored result.  Any other
+    call solves and stores nothing.
     """
     file = _current_file
     if file is None or formula is not file[1]:
@@ -99,8 +99,7 @@ def solve_formula(formula: Formula, config: SolverConfig) -> SolveResult:
     key = search_key(config)
     shared = searches.get(key)
     if shared is not None:
-        model = None if shared.model is None else list(shared.model)
-        return SolveResult(shared.verdict, model, replace(shared.stats))
+        return shared
     result = engine.solve_formula(formula, config)
     if result.verdict is not Verdict.UNKNOWN and result.stats.cb_state_decisions == 0:
         searches[key] = result
@@ -113,7 +112,7 @@ def run_instance(path: str, label: str, config: SolverConfig) -> RunRecord:
     Called on its own, it parses and solves the file.  For the path of the
     per-file context (see `_current_file`) it takes the parsed formula from
     there instead, an ERROR row when the file did not parse, and reports
-    the time_s of whatever `solve_formula` returns, a shared copy included.
+    the time_s of whatever `solve_formula` returns, a shared result included.
     """
     name = os.path.basename(path)
     file = _current_file

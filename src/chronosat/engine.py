@@ -663,6 +663,7 @@ class Solver:
                     return Verdict.SAT
                 phase = self.phase.select_phase(v, self.in_cb_state)
                 stats.decisions += 1
+                stats.cb_state_decisions += self.in_cb_state
                 self._enqueue(2 * v + (0 if phase else 1), None, self.decision_level + 1)
 
 

@@ -19,21 +19,21 @@ def random_ksat(
     """Uniform random k-SAT: each clause picks k distinct variables and
     independent random signs.  Pass either n_clauses or a clause/variable
     ratio.  Deterministic for a fixed rng/seed.  An impossible shape
-    (k < 1, fewer than k variables, a negative clause count, a negative or
-    non-finite ratio) is rejected before any draw, so a shared rng is left
-    untouched."""
-    if k < 1:
-        raise ValueError(f"need k >= 1 literals per clause, got k={k}")
-    if n_vars < k:
-        raise ValueError(f"need at least {k} variables for {k}-SAT")
+    (k < 1, fewer than k variables, a negative clause count, any of those
+    three not an int, a negative or non-finite ratio) is rejected before
+    any draw, so a shared rng is left untouched."""
+    if type(k) is not int or k < 1:
+        raise ValueError(f"need an int k >= 1 literals per clause, got k={k!r}")
+    if type(n_vars) is not int or n_vars < k:
+        raise ValueError(f"need an int n_vars >= {k} for {k}-SAT, got n_vars={n_vars!r}")
     if rng is None:
         rng = random.Random(seed)
     if n_clauses is None:
         if not 0 <= ratio < float("inf"):  # NaN fails too
             raise ValueError(f"need a finite clause/variable ratio >= 0, got {ratio}")
         n_clauses = round(ratio * n_vars)
-    if n_clauses < 0:
-        raise ValueError(f"need n_clauses >= 0, got {n_clauses}")
+    if type(n_clauses) is not int or n_clauses < 0:
+        raise ValueError(f"need an int n_clauses >= 0, got {n_clauses!r}")
     clauses = []
     for _ in range(n_clauses):
         vs = rng.sample(range(n_vars), k)
@@ -47,8 +47,10 @@ def pigeonhole(pigeons: int, holes: int) -> Formula:
     Variable p*holes + h means pigeon p sits in hole h.  Unsatisfiable
     whenever pigeons > holes.
     """
-    if pigeons < 1 or holes < 1:
-        raise ValueError("need at least one pigeon and one hole")
+    if type(pigeons) is not int or pigeons < 1:
+        raise ValueError(f"need an int pigeons >= 1, got pigeons={pigeons!r}")
+    if type(holes) is not int or holes < 1:
+        raise ValueError(f"need an int holes >= 1, got holes={holes!r}")
     clauses = [
         tuple([make_literal(p * holes + h, True) for h in range(holes)])
         for p in range(pigeons)
@@ -71,6 +73,8 @@ def deep_conflict(padding: int = 150) -> Formula:
     distance.  The only constraints are four clauses over the last two
     variables; the padding variables are unconstrained, so a fresh solver
     walks them in index order first, one decision level each."""
+    if type(padding) is not int or padding < 0:
+        raise ValueError(f"need an int padding >= 0, got padding={padding!r}")
     a = make_literal(padding, True)
     b = make_literal(padding + 1, True)
     clauses = [(a, b), (a, b ^ 1), (a ^ 1, b), (a ^ 1, b ^ 1)]

@@ -220,7 +220,8 @@ class SolverStats:
     the phase; lsids_differs_from_saved counts the subset whose choice
     disagreed with the saved phase.  cb_state_decisions counts decisions
     made while the last backtrack was chronological, the only ones the cb
-    heuristic decides; it is not one of the reported counters.
+    heuristic decides; the engine counts it at each decision, whatever
+    selector chose the phase.  It is not one of the reported counters.
     """
 
     conflicts: int = 0

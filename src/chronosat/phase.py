@@ -118,15 +118,14 @@ class PhaseSelector:
     # -- decision-time phase choice ----------------------------------------
 
     def select_phase(self, var: int, in_cb_state: bool) -> bool:
-        """Phase for a fresh decision on var, recording CB-state and LSIDS
-        usage stats.
+        """Phase for a fresh decision on var, recording LSIDS usage stats
+        only (the engine counts decisions made in CB state).
 
         The active heuristic depends on the solver's backtrack mode: the
         cb heuristic applies while the last backtrack was chronological,
         the ncb heuristic otherwise.
         """
         if in_cb_state:
-            self.stats.cb_state_decisions += 1
             heuristic = self.config.cb_phase_heuristic
         else:
             heuristic = self.config.ncb_phase_heuristic
@@ -159,10 +158,10 @@ def search_key(config: SolverConfig) -> tuple:
     identically up to that decision, and to the end when there is none.
 
     The benchmark harness shares searches by this key: while it runs one
-    file's jobs, a job whose key matches an earlier job's gets a copy of
-    that job's result, wall time included, when that search ended SAT or
-    UNSAT without a decision in CB state.  Timeouts, errors and searches
-    with a CB-state decision are never shared.
+    file's jobs, a job whose key matches an earlier job's gets that job's
+    result, wall time included, when that search ended SAT or UNSAT
+    without a decision in CB state.  Timeouts, errors and searches with a
+    CB-state decision are never shared.
     """
     ncb = config.ncb_phase_heuristic
     skip = {"cb_phase_heuristic"}

@@ -1161,6 +1161,21 @@ def test_cb_state_decisions_counts_select_phase_calls_in_cb_state(monkeypatch, c
         assert r.stats.cb_backtracks > 0 and r.stats.cb_state_decisions > 0
 
 
+def test_the_engine_counts_cb_state_decisions_under_a_selector_that_does_not():
+    s = Solver(random_ksat(60, ratio=4.26, seed=4),
+               SolverConfig(cb_threshold_t=0, cb_min_conflicts_c=0))
+    in_cb_state = []
+
+    def saved_phase(var, cb_state):
+        in_cb_state.append(cb_state)
+        return s.phase.saved[var]
+
+    s.phase.select_phase = saved_phase
+    stats = s.solve().stats
+    assert len(in_cb_state) == stats.decisions
+    assert stats.cb_state_decisions == sum(in_cb_state) > 0
+
+
 def test_pack50_makes_no_cb_state_decision_under_either_preset(pack_dir):
     for path in sorted(glob.glob(os.path.join(pack_dir, "*.cnf")))[::10]:
         formula = parse_dimacs_file(path)[0]

@@ -46,14 +46,18 @@ def test_random_ksat_rejects_too_few_variables():
         ({"ratio": -1.0}, "ratio >= 0"),
         ({"ratio": float("inf")}, "ratio >= 0, got inf"),
         ({"ratio": float("nan")}, "ratio >= 0, got nan"),
+        ({"k": True, "n_clauses": 2}, "k=True"),
+        ({"n_clauses": 2.0}, "n_clauses >= 0, got 2.0"),
+        ({"n_vars": 10.5, "ratio": 2.0}, "n_vars=10.5"),
     ],
-    ids=["k0", "k-1", "n_clauses", "ratio", "ratio-inf", "ratio-nan"],
+    ids=["k0", "k-1", "n_clauses", "ratio", "ratio-inf", "ratio-nan", "k-bool",
+         "n_clauses-float", "n_vars-float"],
 )
 def test_random_ksat_rejects_an_impossible_shape_before_drawing(kwargs, match):
     rng = random.Random(4)
     state = rng.getstate()
     with pytest.raises(ValueError, match=match):
-        random_ksat(5, rng=rng, **kwargs)
+        random_ksat(**{"n_vars": 5, **kwargs}, rng=rng)
     assert rng.getstate() == state
 
 
@@ -82,8 +86,12 @@ def test_pigeonhole_overfull_is_unsat():
 
 
 def test_pigeonhole_validates_arguments():
-    with pytest.raises(ValueError):
-        pigeonhole(0, 2)
+    for pigeons, holes, match in [
+        (0, 2, "pigeons=0"), (2.5, 2, "pigeons=2.5"), (True, 1, "pigeons=True"),
+        (2, 0, "holes=0"), (2, 1.0, "holes=1.0"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            pigeonhole(pigeons, holes)
 
 
 def test_deep_conflict_shape_and_verdict():
@@ -94,3 +102,9 @@ def test_deep_conflict_shape_and_verdict():
     # Same constraint core at a brute-forceable size.
     small = deep_conflict(padding=3)
     assert brute_force_solve(small).verdict is Verdict.UNSAT
+
+
+@pytest.mark.parametrize("padding", [-1, 2.5, True])
+def test_deep_conflict_rejects_a_padding_that_is_not_an_int_at_least_0(padding):
+    with pytest.raises(ValueError, match=f"padding={padding!r}"):
+        deep_conflict(padding)
