@@ -159,6 +159,7 @@ class Solver:
         # value is indexed by literal: +1 true, -1 false, 0 unassigned.
         self.value: List[int] = [0] * (2 * n)
         self.level: List[int] = [0] * n
+        # Read only for assigned variables: an erase leaves it stale.
         self.reason: List[Optional[Clause]] = [None] * n
         self.trail: List[int] = []
         # trail_lim[k] is the trail position where level k+1 opened; every
@@ -488,20 +489,21 @@ class Solver:
         """Remove exactly the trail entries above target, wherever they sit;
         raise ValueError, changing nothing, unless 0 <= target < len(trail_lim).
 
-        One pass from trail_lim[target], the position where level target + 1
-        opened: no entry before it is above target, so the prefix is never
-        re-read, however long the trail.  In that pass, entries at or below
-        target (left behind by chronological backtracks) shift down in order
-        and every other entry is erased on the spot: its value slots and
-        reason are cleared and its variable goes onto the decision heap when
-        its newest entry there is gone or carries an older activity; these
+        Shaped as cancelUntil in Maple_LCM_Dist_ChronoBT: the trail is cut
+        once at trail_lim[target], where level target + 1 opened, so no entry
+        before it is re-read, however long the trail.  A walk over the cut
+        puts the entries at or below target (left by chronological
+        backtracks) back in order and erases each other one: its value
+        slots are cleared, its reason is left for the next assignment to
+        overwrite, and its variable goes onto the decision heap when its
+        newest entry there is gone or carries an older activity.  These
         pushes are the heap's only growth, so a heap past 4 * n_vars + 64
-        entries is rebuilt after the pass.  The erased literals then go to
-        the phase selector in one call, in trail order; the selector applies
-        its LSIDS bumps newest first.  The propagation head rewinds to the
-        scan start, the first removed position: surviving entries that shift
-        down are rescanned, so a clause watched by one of them and a literal
-        erased here is looked at again.  No other code moves the head back."""
+        entries is rebuilt after the walk.  The erased literals go to the
+        phase selector in one call, in trail order; the selector applies
+        LSIDS bumps newest first.  The propagation head, at or past the cut
+        at every engine call, is set to it: entries put back are rescanned,
+        so a clause watched by one of them and an erased literal is looked
+        at again.  No other code moves the head back."""
         trail_lim = self.trail_lim
         if not 0 <= target < len(trail_lim):
             raise ValueError(f"need 0 <= target < {len(trail_lim)}, got {target}")
@@ -509,35 +511,30 @@ class Solver:
         i = trail_lim[target]
         del trail_lim[target:]
         trail = self.trail
+        cut = trail[i:]
+        del trail[i:]
         level = self.level
         value = self.value
-        reason = self.reason
         acts = self.var_activity
         heap = self.heap
         heap_act = self.heap_act
         removed = []
-        j = i
-        for k in range(i, len(trail)):
-            lit = trail[k]
+        for lit in cut:
             v = lit >> 1
             if level[v] <= target:
-                trail[j] = lit
-                j += 1
+                trail.append(lit)
                 continue
             removed.append(lit)
             value[lit] = 0
             value[lit ^ 1] = 0
-            reason[v] = None
             a = acts[v]
             if heap_act[v] != a:
                 heap_act[v] = a
                 heappush(heap, (-a, v))
-        del trail[j:]
         if len(heap) > 4 * self.n_vars + 64:
             self._rebuild_heap()
         self.phase.on_assignments_erased(removed)
-        if self.qhead > i:
-            self.qhead = i
+        self.qhead = i
 
     # -- restarts and clause database -----------------------------------------
 

@@ -20,8 +20,9 @@ def random_ksat(
     independent random signs.  Pass either n_clauses or a clause/variable
     ratio.  Deterministic for a fixed rng/seed.  An impossible shape
     (k < 1, fewer than k variables, a negative clause count, any of those
-    three not an int, a negative or non-finite ratio) is rejected before
-    any draw, so a shared rng is left untouched."""
+    three not an int, a ratio that is negative, non-finite or not an int
+    or float) is rejected before any draw, so a shared rng is left
+    untouched."""
     if type(k) is not int or k < 1:
         raise ValueError(f"need an int k >= 1 literals per clause, got k={k!r}")
     if type(n_vars) is not int or n_vars < k:
@@ -29,8 +30,8 @@ def random_ksat(
     if rng is None:
         rng = random.Random(seed)
     if n_clauses is None:
-        if not 0 <= ratio < float("inf"):  # NaN fails too
-            raise ValueError(f"need a finite clause/variable ratio >= 0, got {ratio}")
+        if type(ratio) not in (int, float) or not 0 <= ratio < float("inf"):  # NaN too
+            raise ValueError(f"need a finite int or float ratio >= 0, got {ratio!r}")
         n_clauses = round(ratio * n_vars)
     if type(n_clauses) is not int or n_clauses < 0:
         raise ValueError(f"need an int n_clauses >= 0, got {n_clauses!r}")

@@ -117,6 +117,23 @@ def check_queue_start(solver: Solver) -> None:
         )
 
 
+def check_backtrack_start(solver: Solver, target: int) -> None:
+    """Assert the solver's state when a backtrack to target starts: the
+    queue head is at or after trail_lim[target], where the trail is cut.
+
+    A conflict leaves the head past the literal it interrupts, at or after
+    trail_lim[-1] (check_queue_start), and a restart runs only at a
+    fixpoint, with the head at the trail's end.  So _backtrack_to can set
+    the head to the cut unconditionally: that never moves it forward past
+    an unpropagated literal."""
+    cut = solver.trail_lim[target]
+    if solver.qhead < cut:
+        raise AssertionError(
+            f"queue head {solver.qhead} before position {cut}, "
+            f"where the backtrack to level {target} cuts the trail"
+        )
+
+
 def check_conflict(solver: Solver, confl: Clause) -> None:
     """Assert the solver's state when propagation returns a conflict.
 

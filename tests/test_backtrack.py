@@ -172,7 +172,7 @@ def test_backtrack_to_is_exact_and_order_preserving(entries, data):
     first_removed = next(
         (pos for pos, lvl in enumerate(levels) if lvl > target), len(levels)
     )
-    assert s.qhead <= first_removed
+    assert s.qhead == first_removed
     assert s.decision_level == target
 
 

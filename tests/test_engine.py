@@ -25,6 +25,7 @@ from chronosat.phase import PhaseSelector
 from chronosat.verify import brute_force_solve, check_model
 
 from invariants import (
+    check_backtrack_start,
     check_conflict,
     check_invariants,
     check_learnt,
@@ -122,8 +123,8 @@ def test_propagation_counts_queue_pops():
     assert s._propagate() is not None
     assert s.trail == [lit(1), lit(4), lit(2), lit(3)]
     assert (s.qhead, s.stats.propagations) == (3, 3)
-    # Backtracking to level 1 erases x4 and x3 and rewinds the head to x2,
-    # which shifts down; the second call counts x2 again, then ~x3 and ~x4.
+    # Backtracking to level 1 erases x4 and x3 and sets the head to the cut,
+    # where x2 is put back; the second call counts x2 again, then ~x3 and ~x4.
     s._backtrack_to(1)
     assert s._propagate() is None
     assert s.trail == [lit(1), lit(2), lit(-3), lit(-4)]
@@ -195,8 +196,8 @@ def test_conflict_keeps_later_watchers_of_the_same_literal_in_order():
     assert s.trail[s.qhead - 1] == lit(-1)
     assert s.watches[lit(1)] == [confl_clause, lit(2), later, lit(3)]
     assert s.watches[lit(5)] == [mover, lit(4)]
-    # Level 1 keeps ~x1, which shifts down to where level 2 opened; the
-    # backtrack rewinds the head there, so ~x1's watchers are scanned again.
+    # Level 1 keeps ~x1, which is put back where level 2 opened; the
+    # backtrack sets the head there, so ~x1's watchers are scanned again.
     s._backtrack_to(1)
     assert s.trail == [lit(6), lit(-1)]
     assert s.qhead == 1
@@ -553,6 +554,23 @@ def test_reduce_db_keeps_low_lbd_and_locked_clauses():
     debug_check_watches(s)
 
 
+def test_reduce_db_drops_the_stale_reason_of_an_erased_variable():
+    # The learnt (x2 v ~x1) implies x2 and stays x2's reason after the
+    # backtrack erases x2.  x2 is unassigned, so the clause is not locked:
+    # ranked in the bottom half, it goes.
+    s = Solver(Formula(4, []))
+    stale = _inject_learnt(s, [2, -1], 8, 0.0)
+    kept = _inject_learnt(s, [3, 4], 5, 1.0)
+    s._enqueue(lit(1), None, 1)
+    assert s._propagate() is None
+    assert s.value[lit(2)] > 0 and s.reason[1] is stale
+    s._backtrack_to(0)
+    assert s.value[lit(2)] == 0 and s.reason[1] is stale
+    s._reduce_db()
+    assert len(s.learnts) == 1 and s.learnts[0] is kept
+    debug_check_watches(s)
+
+
 def test_reduce_db_breaks_lbd_ties_by_activity():
     s = Solver(Formula(6, []))
     weak = _inject_learnt(s, [1, 2], 5, 1.0)
@@ -723,8 +741,8 @@ def test_watch_invariants_hold_after_solving():
 
 
 class QueueCheckedSolver(Solver):
-    """Checks where each propagation starts, where a conflict stops it and
-    the clause each conflict's analysis learns."""
+    """Checks where each propagation starts, where a conflict stops it, the
+    clause each conflict's analysis learns and where each backtrack starts."""
 
     def _propagate(self):
         check_queue_start(self)
@@ -732,6 +750,10 @@ class QueueCheckedSolver(Solver):
         if confl is not None:
             check_conflict(self, confl)
         return confl
+
+    def _backtrack_to(self, target):
+        check_backtrack_start(self, target)
+        super()._backtrack_to(target)
 
     def _analyze(self, confl, conflict_level):
         self.bumped = []
@@ -845,6 +867,22 @@ def test_check_queue_start_rejects_a_head_before_the_open_level():
     s.qhead = 0
     with pytest.raises(AssertionError, match="before position 3, where level 2 opens"):
         check_queue_start(s)
+
+
+def test_check_backtrack_start_rejects_a_head_before_the_cut():
+    s = Solver(fml(4, [[1, 2], [-2, 3]]))
+    s._enqueue(lit(-1), None, 1)
+    assert s._propagate() is None
+    s._enqueue(lit(4), None, 2)
+    check_backtrack_start(s, 0)
+    check_backtrack_start(s, 1)
+    s.qhead = 2
+    check_backtrack_start(s, 0)
+    with pytest.raises(
+        AssertionError,
+        match="before position 3, where the backtrack to level 1 cuts the trail",
+    ):
+        check_backtrack_start(s, 1)
 
 
 def test_analysis_drops_a_literal_whose_reason_is_inside_the_clause():
@@ -1275,7 +1313,9 @@ def test_counters_are_pinned(make_formula, cfg, expected):
 def test_one_queue_rewind_suffices_on_every_pinned_run(make_formula, cfg, expected):
     # _propagate leaves the head past the literal a conflict interrupts and
     # only _backtrack_to moves it back.  That suffices because propagation
-    # starts at or after trail_lim[-1]; QueueCheckedSolver asserts it at
-    # every propagation, and the counters stay pinned.
+    # starts at or after trail_lim[-1], and _backtrack_to may set the head
+    # to its cut unconditionally because every backtrack starts with the
+    # head at or past it; QueueCheckedSolver asserts both, and the counters
+    # stay pinned.
     r = QueueCheckedSolver(make_formula(), cfg).solve()
     assert counters(r) == expected

@@ -49,9 +49,12 @@ def test_random_ksat_rejects_too_few_variables():
         ({"k": True, "n_clauses": 2}, "k=True"),
         ({"n_clauses": 2.0}, "n_clauses >= 0, got 2.0"),
         ({"n_vars": 10.5, "ratio": 2.0}, "n_vars=10.5"),
+        ({"ratio": True}, "ratio >= 0, got True"),
+        ({"ratio": False}, "ratio >= 0, got False"),
+        ({"ratio": "4"}, "ratio >= 0, got '4'"),
     ],
     ids=["k0", "k-1", "n_clauses", "ratio", "ratio-inf", "ratio-nan", "k-bool",
-         "n_clauses-float", "n_vars-float"],
+         "n_clauses-float", "n_vars-float", "ratio-true", "ratio-false", "ratio-str"],
 )
 def test_random_ksat_rejects_an_impossible_shape_before_drawing(kwargs, match):
     rng = random.Random(4)
