@@ -271,10 +271,16 @@ def parse_model(text: Union[str, bytes], variable_count: int) -> List[bool]:
 
 
 def write_dimacs(formula: Formula, comments: Optional[List[str]] = None) -> str:
-    """Render a Formula back to DIMACS text (test and tooling support)."""
-    lines = []
-    for comment in comments or []:
-        lines.append(f"c {comment}")
+    """Render a Formula back to DIMACS text (test and tooling support).
+
+    Raises ValueError for a comment that holds '\\n' or '\\r', which
+    would end its line and leave the rest to be read as data.
+    """
+    comments = comments or []
+    for comment in comments:
+        if "\n" in comment or "\r" in comment:
+            raise ValueError(f"comment {comment!r} holds a line end")
+    lines = [f"c {comment}" for comment in comments]
     lines.append(f"p cnf {formula.variable_count} {formula.clause_count}")
     for c in formula.clauses:
         lines.append(" ".join(str(lit_to_dimacs(l)) for l in c) + " 0")

@@ -88,10 +88,11 @@ def make_clause(lits) -> Optional[Tuple[int, ...]]:
 class Formula:
     """A CNF formula over variables 0..variable_count-1.
 
-    The constructor range-checks every literal, and raises ValueError
-    naming the first one outside 0 <= l < 2 * variable_count.  parse_dimacs
-    builds its Formula through _trusted_formula instead, which skips that
-    pass, because the reader has already checked each literal it read.
+    The constructor checks every literal, and raises ValueError naming the
+    first one that is not an int (a bool is not) or lies outside
+    0 <= l < 2 * variable_count.  parse_dimacs builds its Formula through
+    _trusted_formula instead, which skips that pass, because the reader
+    has already checked each literal it read.
     """
 
     variable_count: int
@@ -102,15 +103,22 @@ class Formula:
             raise ValueError(
                 f"variable_count must be an int >= 0, got {self.variable_count!r}"
             )
-        # A literal is in range when 0 <= l < 2 * variable_count.  One min
-        # and one max over all literals decide it (a min and a max per
-        # clause cost more than a Python comparison per literal), and only a
-        # failure is walked literal by literal to name the first offender: a
-        # negative one has no DIMACS spelling, so its encoded value is named.
+        # A literal is an int (not a bool) with 0 <= l < 2 * variable_count.
+        # One set of types, one min and one max over all literals decide it
+        # (a min and a max per clause cost more than a Python comparison per
+        # literal), and only a failure is walked literal by literal to name
+        # the first offender: a negative one has no DIMACS spelling, so its
+        # encoded value is named.
         lits = list(chain.from_iterable(self.clauses))
-        if lits and (min(lits) < 0 or max(lits) >= 2 * self.variable_count):
+        if lits and (
+            set(map(type, lits)) != {int}
+            or min(lits) < 0
+            or max(lits) >= 2 * self.variable_count
+        ):
             for c in self.clauses:
                 for l in c:
+                    if type(l) is not int:
+                        raise ValueError(f"literal {l!r} is not an int")
                     if not (0 <= l >> 1 < self.variable_count):
                         name = f"literal {lit_to_dimacs(l)}" if l >= 0 else f"encoded literal {l}"
                         raise ValueError(

@@ -445,6 +445,18 @@ def test_write_dimacs_round_trip_small():
     assert warnings == []
 
 
+@pytest.mark.parametrize("comment", ["x\n-1 0", "x\r1 0", "x\r\n1 0"], ids=["lf", "cr", "crlf"])
+def test_write_dimacs_rejects_a_comment_that_ends_its_line(comment):
+    with pytest.raises(ValueError, match=f"^comment {re.escape(repr(comment))} holds a line end$"):
+        write_dimacs(Formula(1, [(0,)]), comments=["ok", comment])
+
+
+def test_write_dimacs_keeps_a_form_feed_inside_a_comment():
+    g, warnings = parse_dimacs(write_dimacs(Formula(1, [(0,)]), comments=["note\f-1 0"]))
+    assert (g.variable_count, g.clauses) == (1, [(0,)])
+    assert warnings == []
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_write_parse_round_trip_random(seed):

@@ -1,4 +1,5 @@
 import gc
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -92,6 +93,12 @@ def test_formula_names_a_negative_literal_by_its_encoded_value():
     ]:
         with pytest.raises(ValueError, match=f"^{name} out of range for {n} variables$"):
             Formula(n, clauses)
+
+
+@pytest.mark.parametrize("lit", [1.5, True, "0"], ids=["float", "bool", "str"])
+def test_formula_rejects_a_literal_that_is_not_an_int(lit):
+    with pytest.raises(ValueError, match=f"^literal {re.escape(repr(lit))} is not an int$"):
+        Formula(3, [(0, 2), (4, lit)])
 
 
 def test_negative_variable_index_rejected():
